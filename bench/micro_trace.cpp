@@ -8,7 +8,14 @@
  *              to un-traced runs (one relaxed load + predicted branch).
  *   enabled    obs::emit() into an installed per-core ring — the cost
  *              of actually recording (ISSUE target: <= 20 ns/record).
- *   counter    obs::addCount() with an installed registry.
+ *   counter    Counter::add() on a resolved handle with an installed
+ *              registry (what hot paths such as PreemptibleRuntime's
+ *              workers pay per event).
+ *   counter_by_name
+ *              obs::addCount("name") with an installed registry, on 1
+ *              and on 4 threads at once: the std::string build,
+ *              registry-wide mutex and map lookup every by-name call
+ *              pays, and how it degrades under contention.
  *   publisher  obs::emit() into a ring while a TelemetryPublisher
  *              snapshots in the background — proves an idle telemetry
  *              plane leaves the emit fast path unchanged (the live-
@@ -22,12 +29,19 @@
  *              windowed metric, amortised over zero record-path cost.
  *
  * Emits BENCH_trace.json (ns per operation, best of reps) so later PRs
- * can regress the overhead claims in DESIGN.md section 8.
+ * can regress the overhead claims in DESIGN.md section 8. The file
+ * records the CPUs the process may run on and their measured parallel
+ * capacity (4-thread spin vs 1-thread spin), since the 4-thread row
+ * means little on a host that cannot run 4 threads at once.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <sched.h>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
@@ -80,7 +94,7 @@ runEnabled(int ops)
     return static_cast<double>(t1 - t0) / ops;
 }
 
-/** ns per addCount with a registry installed. */
+/** ns per increment of a pre-resolved Counter handle. */
 double
 runCounter(int ops)
 {
@@ -96,6 +110,85 @@ runCounter(int ops)
                  static_cast<std::uint64_t>(ops),
              "counter lost increments");
     return static_cast<double>(t1 - t0) / ops;
+}
+
+/**
+ * ns per by-name obs::addCount() with a registry installed, each of
+ * `threads` threads making `ops` calls at once (wall time / ops: the
+ * latency one caller sees while the others contend).
+ */
+double
+runCounterByName(int ops, int threads)
+{
+    obs::MetricsRegistry reg;
+    obs::setMetricsRegistry(&reg);
+    reg.counter("bench.by_name"); // pre-register: time the lookup only
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&] {
+            ready.fetch_add(1);
+            while (!go.load(std::memory_order_acquire)) {
+            }
+            for (int i = 0; i < ops; ++i)
+                obs::addCount("bench.by_name");
+        });
+    }
+    while (ready.load() != threads) {
+    }
+    TimeNs t0 = runtime::hostNowNs();
+    go.store(true, std::memory_order_release);
+    for (auto &th : pool)
+        th.join();
+    TimeNs t1 = runtime::hostNowNs();
+    obs::setMetricsRegistry(nullptr);
+    panic_if(reg.counter("bench.by_name").value() !=
+                 static_cast<std::uint64_t>(ops) *
+                     static_cast<std::uint64_t>(threads),
+             "by-name counter lost increments");
+    return static_cast<double>(t1 - t0) / ops;
+}
+
+/** CPUs this process may run on (its affinity mask). */
+int
+hostCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return static_cast<int>(std::thread::hardware_concurrency());
+    return CPU_COUNT(&set);
+}
+
+/** Measured parallel capacity: `threads` x (1-thread wall time of a
+ *  fixed spin) / (wall time of `threads` running it at once). */
+double
+parallelCapacity(int threads)
+{
+    std::atomic<std::uint64_t> sink{0};
+    auto spin = [&sink](std::uint64_t seed) {
+        std::uint64_t x = seed | 1;
+        for (int i = 0; i < 20'000'000; ++i)
+            x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        sink += x;
+    };
+    auto timed = [&](int n) {
+        TimeNs t0 = runtime::hostNowNs();
+        std::vector<std::thread> pool;
+        for (int i = 1; i < n; ++i)
+            pool.emplace_back(spin, static_cast<std::uint64_t>(i));
+        spin(0);
+        for (auto &th : pool)
+            th.join();
+        return static_cast<double>(runtime::hostNowNs() - t0);
+    };
+    double one = 1e300, many = 1e300;
+    for (int r = 0; r < 3; ++r) { // best of three: damp one-off stalls
+        one = std::min(one, timed(1));
+        many = std::min(many, timed(threads));
+    }
+    return threads * one / many;
 }
 
 /**
@@ -209,10 +302,16 @@ main(int argc, char **argv)
 
     double disabled = 1e9, enabled = 1e9, counter = 1e9;
     double publisher = 1e9, spanLive = 1e9, windowTick = 1e9;
+    double byName = 1e9, byName4 = 1e9;
+    // By-name calls cost ~10x a handle add: fewer ops keep the run short.
+    const int byNameOps = std::max(1, ops / 10);
     for (int r = 0; r < reps; ++r) {
         disabled = std::min(disabled, runDisabled(ops));
         enabled = std::min(enabled, runEnabled(ops));
         counter = std::min(counter, runCounter(ops));
+        byName = std::min(byName, runCounterByName(byNameOps, 1));
+        byName4 = std::min(byName4,
+                           runCounterByName(std::max(1, byNameOps / 4), 4));
         publisher = std::min(publisher, runWithPublisher(ops));
         spanLive = std::min(spanLive, runSpanLive(ops));
         windowTick = std::min(windowTick, runWindowRotateAggregate(ops));
@@ -228,7 +327,9 @@ main(int argc, char **argv)
     };
     row("emit disabled", disabled);
     row("emit enabled", enabled);
-    row("counter add", counter);
+    row("counter add (handle)", counter);
+    row("counter add by name, 1 thread", byName);
+    row("counter add by name, 4 threads", byName4);
     row("emit + live publisher", publisher);
     row("emitSpan live fold", spanLive);
     row("window rotate+aggregate", windowTick);
@@ -237,6 +338,10 @@ main(int argc, char **argv)
         std::printf("publisher overhead vs enabled: %+.2f%%\n",
                     (publisher / enabled - 1.0) * 100.0);
     }
+    const int cpus = hostCpus();
+    const double capacity = parallelCapacity(4);
+    std::printf("host cpus %d, parallel capacity %.2f of 4 threads\n",
+                cpus, capacity);
 
     FILE *f = std::fopen(out.c_str(), "w");
     fatal_if(!f, "cannot open %s for writing", out.c_str());
@@ -245,9 +350,13 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"unit\": \"ns_per_op\",\n");
     std::fprintf(f, "  \"ops\": %d,\n", ops);
     std::fprintf(f, "  \"reps\": %d,\n", reps);
+    std::fprintf(f, "  \"host_cpus\": %d,\n", cpus);
+    std::fprintf(f, "  \"parallel_capacity\": %.3f,\n", capacity);
     std::fprintf(f, "  \"emit_disabled\": %.3f,\n", disabled);
     std::fprintf(f, "  \"emit_enabled\": %.3f,\n", enabled);
     std::fprintf(f, "  \"counter_add\": %.3f,\n", counter);
+    std::fprintf(f, "  \"counter_add_by_name\": %.3f,\n", byName);
+    std::fprintf(f, "  \"counter_add_by_name_4t\": %.3f,\n", byName4);
     std::fprintf(f, "  \"emit_publisher\": %.3f,\n", publisher);
     std::fprintf(f, "  \"emitspan_live\": %.3f,\n", spanLive);
     std::fprintf(f, "  \"window_rotate_aggregate\": %.3f\n", windowTick);

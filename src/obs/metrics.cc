@@ -7,6 +7,10 @@
 
 namespace preempt::obs {
 
+namespace detail {
+std::atomic<std::uint64_t> g_metricsGeneration{1};
+} // namespace detail
+
 namespace {
 
 std::atomic<MetricsRegistry *> g_metrics{nullptr};
@@ -224,19 +228,21 @@ metricsRegistry() noexcept
 {
     if (t_threadMetrics)
         return t_threadMetrics;
-    return g_metrics.load(std::memory_order_relaxed);
+    return g_metrics.load(std::memory_order_acquire);
 }
 
 void
 setMetricsRegistry(MetricsRegistry *registry) noexcept
 {
     g_metrics.store(registry, std::memory_order_release);
+    detail::g_metricsGeneration.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void
 setThreadMetricsRegistry(MetricsRegistry *registry) noexcept
 {
     t_threadMetrics = registry;
+    detail::g_metricsGeneration.fetch_add(1, std::memory_order_acq_rel);
 }
 
 MetricsRegistry *

@@ -12,6 +12,12 @@
  *
  * Like tracing (obs/trace.hh), a registry is installed process-wide;
  * the free helpers (addCount etc.) are no-ops when none is installed.
+ *
+ * Hot paths hold resolved handles (Counter&, TimerMetric&) instead of
+ * calling the by-name helpers: a handle update is one atomic add (or
+ * one uncontended lock for a timer), while a by-name call builds a
+ * std::string, takes the registry-wide mutex and searches a map. A
+ * cached handle stays valid while metricsGeneration() is unchanged.
  */
 
 #ifndef PREEMPT_OBS_METRICS_HH
@@ -31,8 +37,9 @@
 
 namespace preempt::obs {
 
-/** Monotonic event count. */
-class Counter
+/** Monotonic event count (one cache line each: counters bumped from
+ *  different threads never share a line). */
+class alignas(64) Counter
 {
   public:
     void
@@ -229,6 +236,24 @@ class MetricsRegistry
     std::size_t windowEpochs_ = 0;
 };
 
+namespace detail {
+extern std::atomic<std::uint64_t> g_metricsGeneration;
+} // namespace detail
+
+/**
+ * Registry generation: starts at 1 and is bumped by every
+ * setMetricsRegistry() and setThreadMetricsRegistry() call. Handles
+ * resolved from metricsRegistry() stay valid while it reads the same
+ * value; keying a cache on the registry pointer instead would keep
+ * stale handles when a registry is destroyed and a new one is built
+ * at the same address.
+ */
+inline std::uint64_t
+metricsGeneration() noexcept
+{
+    return detail::g_metricsGeneration.load(std::memory_order_acquire);
+}
+
 /**
  * The registry recordings on this thread resolve to, or nullptr: the
  * thread-confined registry when one is installed, otherwise the
@@ -271,6 +296,13 @@ class ScopedThreadMetricsRegistry
 };
 
 // ----- No-op-when-disabled helpers for instrumentation sites --------
+//
+// Cold-path conveniences: each call builds a std::string, takes the
+// registry-wide mutex and does a map lookup (tens of ns alone, far
+// more under contention; bench/micro_trace's counter_add_by_name row).
+// Per-task and idle paths resolve Counter/TimerMetric handles once
+// and re-resolve them when metricsGeneration() changes, as
+// PreemptibleRuntime's workers do.
 
 void addCount(const char *name, std::uint64_t n = 1);
 void setGauge(const char *name, std::int64_t v);

@@ -745,6 +745,11 @@ TelemetryPublisher::TelemetryPublisher(MetricsRegistry *registry,
     // Baseline for uptime even when only tickNow() is used (tests,
     // final flush) and start() never runs.
     startedAt_ = clockNs(CLOCK_MONOTONIC);
+    // Empty but valid before the first publish: seq 0, and a checksum
+    // that verifies like any published snapshot's.
+    auto empty = std::make_shared<TelemetrySnapshot>();
+    empty->checksum = empty->computeChecksum();
+    current_ = std::move(empty);
 }
 
 TelemetryPublisher::~TelemetryPublisher()
@@ -846,11 +851,11 @@ TelemetryPublisher::buildAndPublish()
 {
     // Serialised by tickMutex_ (the only writer path).
     std::uint64_t cur = seq_.load(std::memory_order_relaxed);
-    std::uint64_t nextIdx = (cur + 1) & 1;
 
     std::uint64_t mono = clockNs(CLOCK_MONOTONIC);
 
-    TelemetrySnapshot snap;
+    auto built = std::make_shared<TelemetrySnapshot>();
+    TelemetrySnapshot &snap = *built;
     snap.seq = cur + 1;
     snap.wallNs = clockNs(CLOCK_REALTIME);
     snap.monoNs = mono;
@@ -942,14 +947,11 @@ TelemetryPublisher::buildAndPublish()
     if (spans_)
         spans_->rotateWindows();
 
-    // Double buffer: fill the back buffer under its mutex, then flip.
-    // A reader that loaded the old index may still be copying the
-    // *other* buffer; the next publish (one full interval later) would
-    // briefly wait on it — readers never tear and never block this
-    // publish.
+    // Publish: swap the finished snapshot in whole, then advance
+    // seq_, so published() never runs ahead of what snapshot() sees.
     {
-        std::lock_guard<std::mutex> lock(bufMutex_[nextIdx]);
-        buffers_[nextIdx] = std::move(snap);
+        std::lock_guard<std::mutex> lock(snapMutex_);
+        current_ = std::move(built);
     }
     seq_.store(cur + 1, std::memory_order_release);
 }
@@ -957,12 +959,12 @@ TelemetryPublisher::buildAndPublish()
 TelemetrySnapshot
 TelemetryPublisher::snapshot() const
 {
-    std::uint64_t s = seq_.load(std::memory_order_acquire);
-    if (s == 0)
-        return TelemetrySnapshot{};
-    std::uint64_t idx = s & 1;
-    std::lock_guard<std::mutex> lock(bufMutex_[idx]);
-    return buffers_[idx];
+    std::shared_ptr<const TelemetrySnapshot> cur;
+    {
+        std::lock_guard<std::mutex> lock(snapMutex_);
+        cur = current_;
+    }
+    return *cur;
 }
 
 void

@@ -8,9 +8,10 @@
  * runtime publishes per-worker state through them), snapshots every
  * counter/gauge/timer of a MetricsRegistry plus the per-tenant span
  * delay breakdowns of a SpanCollector, derives per-counter rates and
- * per-gauge watermarks, and publishes the result through a double
- * buffer: readers never block the writer, and a torn read is
- * impossible (tests/test_telemetry.cc hammers exactly that).
+ * per-gauge watermarks, and publishes the result as one immutable
+ * snapshot swapped in whole: a reader holds its own reference, so a
+ * torn or out-of-order read is impossible (tests/test_telemetry.cc
+ * hammers exactly that).
  *
  * Every lifetime statistic has a sliding-window companion so a scrape
  * sees *recent* behaviour, not the whole-run blend: timers and span
@@ -48,6 +49,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -313,8 +315,9 @@ class TelemetryPublisher
     void dumpNow();
 
     /**
-     * Lock-free torn-proof read of the latest published snapshot
-     * (copies out; empty snapshot with seq 0 before the first tick).
+     * Torn-proof read of the latest published snapshot (copies out;
+     * before the first tick, an empty snapshot with seq 0 and a valid
+     * checksum). Successive reads never go back in seq.
      */
     TelemetrySnapshot snapshot() const;
 
@@ -339,17 +342,15 @@ class TelemetryPublisher
     SpanCollector *spans_;
     Options options_;
 
-    // Double buffer: the writer fills buffers_[(seq+1) & 1] under
-    // that buffer's mutex, then publishes by storing seq+1; readers
-    // copy buffers_[seq & 1] under its mutex. A raw seqlock would
-    // tear the std::strings inside a snapshot (UB, not just a
-    // mismatched checksum), so each buffer carries a mutex — but the
-    // writer and readers only meet on the same buffer if a reader
-    // lags a full publish interval, so reads are wait-free in
-    // practice and never delay a publish. One writer (the publisher
-    // thread, or tickNow() callers serialised by tickMutex_).
-    TelemetrySnapshot buffers_[2];
-    mutable std::mutex bufMutex_[2];
+    // The latest snapshot, immutable once published. The writer
+    // builds a new one off to the side and swaps the pointer under
+    // snapMutex_, which guards only that pointer copy; readers copy
+    // out through their own reference, so a publish never waits on a
+    // reader's deep copy and a reader never sees a half-built
+    // snapshot. seq_ is stored after the swap. One writer (the
+    // publisher thread, or tickNow() callers serialised by tickMutex_).
+    std::shared_ptr<const TelemetrySnapshot> current_;
+    mutable std::mutex snapMutex_;
     std::atomic<std::uint64_t> seq_{0};
     std::mutex tickMutex_;
 

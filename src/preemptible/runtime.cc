@@ -19,10 +19,35 @@ namespace {
 /** Hard cap on a steal round so spoils fit a stack buffer. */
 constexpr std::size_t kMaxStealBatch = 64;
 
+/** Inbox arrivals moved onto the deque per drain. */
+constexpr std::size_t kDrainBatch = 64;
+
 /** Process-wide task id counter: colocated runtimes (one per tenant)
  *  share one id space so a span collector keyed by (epoch, id) never
  *  sees two tenants' tasks collide. */
 std::atomic<std::uint64_t> g_nextTaskId{0};
+
+/** Bump a single-writer count: a relaxed load+store, no locked RMW.
+ *  Only the owning thread may call this on a given count. */
+inline void
+bump(std::atomic<std::uint64_t> &count, std::uint64_t n = 1)
+{
+    count.store(count.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
+
+/** Add `n` to counter `name` of `registry` (none: no-op) through the
+ *  cached handle `slot`, looked up by name at its first use. */
+void
+addTo(obs::MetricsRegistry *registry, obs::Counter *&slot,
+      const char *name, std::uint64_t n = 1)
+{
+    if (!registry)
+        return;
+    if (!slot)
+        slot = &registry->counter(name);
+    slot->add(n);
+}
 
 } // namespace
 
@@ -161,14 +186,19 @@ PreemptibleRuntime::submitTo(int worker, std::function<void()> body,
 std::size_t
 PreemptibleRuntime::drainInbox(int index, WorkerState &w)
 {
+    // FCFS: take the oldest arrivals and push them newest-first. The
+    // deque is empty here (we drain only once our pops found nothing),
+    // so the owner's LIFO pops serve them oldest-first while thieves'
+    // FIFO steals take the newest.
+    std::array<TaskRecord *, kDrainBatch> batch;
     std::size_t moved = 0;
-    TaskRecord *raw = nullptr;
-    while (w.inbox.pop(raw)) {
+    while (moved < batch.size() && w.inbox.pop(batch[moved]))
         ++moved;
-        if (!w.ready.push(raw)) {
-            // Deque full (stolen backlog + burst): run it right now
-            // rather than lose it.
-            runTask(index, std::unique_ptr<TaskRecord>(raw));
+    for (std::size_t i = moved; i > 0; --i) {
+        if (!w.ready.push(batch[i - 1])) {
+            // Deque full (stolen backlog): run it right now rather
+            // than lose it.
+            runTask(index, std::unique_ptr<TaskRecord>(batch[i - 1]));
         }
     }
     return moved;
@@ -178,9 +208,10 @@ TaskRecord *
 PreemptibleRuntime::trySteal(int self)
 {
     const int n = options_.nWorkers;
-    if (!options_.stealing || n < 2)
+    if (!options_.stealing || n < 2 || options_.stealRounds <= 0)
         return nullptr;
     WorkerState &me = *workers_[static_cast<std::size_t>(self)];
+    MetricHandles &m = metrics(self);
 
     // Draw a worker index other than self from this worker's stream.
     auto pick = [&]() {
@@ -191,9 +222,10 @@ PreemptibleRuntime::trySteal(int self)
     };
 
     std::array<TaskRecord *, kMaxStealBatch> spoils;
-    for (int round = 0; round < options_.stealRounds; ++round) {
-        stealAttempts_.fetch_add(1, std::memory_order_relaxed);
-        obs::addCount("runtime.steal.attempt");
+    TaskRecord *taken = nullptr;
+    int rounds = 0;
+    while (!taken && rounds < options_.stealRounds) {
+        ++rounds;
 
         // Two-choice: probe two distinct victims, raid the longer one.
         int v1 = pick();
@@ -222,13 +254,13 @@ PreemptibleRuntime::trySteal(int self)
             workers_[static_cast<std::size_t>(victim)]->ready.stealBatch(
                 spoils.data(), options_.stealBatch, &last);
         if (last == StealResult::Abort) {
-            stealAborts_.fetch_add(1, std::memory_order_relaxed);
-            obs::addCount("runtime.steal.abort");
+            bump(me.counters.stealAborts);
+            addTo(m.registry, m.stealAbort, "runtime.steal.abort");
         }
         if (got == 0)
             continue;
-        stealHits_.fetch_add(got, std::memory_order_relaxed);
-        obs::addCount("runtime.steal.hit", got);
+        bump(me.counters.stealHits, got);
+        addTo(m.registry, m.stealHit, "runtime.steal.hit", got);
         obs::emit(obs::EventKind::Steal,
                   static_cast<std::uint32_t>(self), hostNowNs(), got,
                   static_cast<std::uint64_t>(victim));
@@ -240,9 +272,14 @@ PreemptibleRuntime::trySteal(int self)
             if (!me.ready.push(spoils[i - 1]))
                 runTask(self, std::unique_ptr<TaskRecord>(spoils[i - 1]));
         }
-        return spoils[0];
+        taken = spoils[0];
     }
-    return nullptr;
+    // Count the rounds once per call: idle workers call this in a
+    // tight loop, and the registry counter is shared between them.
+    bump(me.counters.stealAttempts, static_cast<std::uint64_t>(rounds));
+    addTo(m.registry, m.stealAttempt, "runtime.steal.attempt",
+          static_cast<std::uint64_t>(rounds));
+    return taken;
 }
 
 void
@@ -251,8 +288,9 @@ PreemptibleRuntime::migrateTask(TaskRecord *task, int to)
     int from = static_cast<int>(task->owner);
     if (from == to)
         return;
-    migrations_.fetch_add(1, std::memory_order_relaxed);
-    obs::addCount("runtime.migrations");
+    bump(workers_[static_cast<std::size_t>(to)]->counters.migrations);
+    MetricHandles &m = metrics(to);
+    addTo(m.registry, m.migrations, "runtime.migrations");
     obs::emitSpan(obs::EventKind::TaskMigrate,
                   static_cast<std::uint32_t>(to), hostNowNs(), task->id,
                   static_cast<std::uint64_t>(from),
@@ -299,13 +337,30 @@ void
 PreemptibleRuntime::dropTask(int worker, std::unique_ptr<TaskRecord> task)
 {
     cancelDeadline(task.get());
-    expiredDrops_.fetch_add(1, std::memory_order_relaxed);
-    obs::addCount("runtime.expired_drops");
+    bump(workers_[static_cast<std::size_t>(worker)]->counters.expiredDrops);
+    MetricHandles &m = metrics(worker);
+    addTo(m.registry, m.expiredDrops, "runtime.expired_drops");
     TimeNs now = hostNowNs();
     obs::emitSpan(obs::EventKind::CancelRequest,
                   static_cast<std::uint32_t>(worker), now, task->id,
                   now - task->submitNs);
     inFlight_.fetch_sub(1, std::memory_order_release);
+}
+
+PreemptibleRuntime::MetricHandles &
+PreemptibleRuntime::metrics(int index)
+{
+    MetricHandles &h = workers_[static_cast<std::size_t>(index)]->metrics;
+    std::uint64_t gen = obs::metricsGeneration();
+    if (gen == h.generation) [[likely]]
+        return h;
+    // The registry changed (or this is the first use): drop every
+    // handle. Read the registry on this worker's thread, so a
+    // thread-confined one would count like the by-name helpers do.
+    h = MetricHandles{};
+    h.generation = gen;
+    h.registry = obs::metricsRegistry();
+    return h;
 }
 
 void
@@ -324,11 +379,13 @@ PreemptibleRuntime::workerMain(int index)
         if (drainInbox(index, w) > 0)
             continue;
         std::unique_ptr<TaskRecord> parked;
-        {
+        if (longLen_.load(std::memory_order_acquire) != 0) {
             std::lock_guard<std::mutex> lock(longMutex_);
             if (!longQueue_.empty()) {
                 parked = std::move(longQueue_.front());
                 longQueue_.pop_front();
+                longLen_.store(longQueue_.size(),
+                               std::memory_order_release);
             }
         }
         if (parked) {
@@ -352,10 +409,8 @@ PreemptibleRuntime::workerMain(int index)
         }
     }
 
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        staleSignals_ += ctx.staleSignals;
-    }
+    w.counters.staleSignals.store(ctx.staleSignals,
+                                  std::memory_order_relaxed);
     workerShutdown();
 }
 
@@ -380,7 +435,7 @@ PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
     w.currentTask.store(static_cast<std::int64_t>(task->id),
                         std::memory_order_relaxed);
     if (fresh) {
-        task->fn = std::make_unique<PreemptibleFn>(task->body);
+        task->fn = std::make_unique<PreemptibleFn>(std::move(task->body));
         status = fn_launch(*task->fn, slice);
     } else {
         status = fn_resume(*task->fn, slice);
@@ -394,24 +449,30 @@ PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
         obs::emitSpan(obs::EventKind::Complete, track, task->finishNs,
                       task->id, sojourn,
                       static_cast<std::uint64_t>(task->cls));
-        obs::recordTimerPerCore("runtime.sojourn_ns",
-                                static_cast<unsigned>(worker), sojourn);
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            (task->cls == 0 ? lcLatency_ : beLatency_).record(sojourn);
+        MetricHandles &m = metrics(worker);
+        if (m.registry) {
+            if (!m.sojourn)
+                m.sojourn = &m.registry->timerPerCore(
+                    "runtime.sojourn_ns", static_cast<unsigned>(worker));
+            m.sojourn->record(sojourn);
         }
-        completed_.fetch_add(1, std::memory_order_relaxed);
+        {
+            std::lock_guard<std::mutex> lock(w.latency.mutex);
+            (task->cls == 0 ? w.latency.lc : w.latency.be).record(sojourn);
+        }
+        bump(w.counters.completed);
         inFlight_.fetch_sub(1, std::memory_order_release);
         return;
     }
 
     // Preempted or yielded.
-    preemptions_.fetch_add(1, std::memory_order_relaxed);
+    bump(w.counters.preemptions);
     TimeNs preemptNs = hostNowNs();
     w.lastPreemptNs.store(preemptNs, std::memory_order_relaxed);
     obs::emitSpan(obs::EventKind::Preempt, track, preemptNs, task->id,
                   slice);
-    obs::addCount("runtime.preemptions");
+    MetricHandles &m = metrics(worker);
+    addTo(m.registry, m.preemptions, "runtime.preemptions");
     if (options_.dropExpired && deadlineHopeless(task.get())) {
         // Expired mid-run: release the stack instead of finishing.
         fn_cancel(*task->fn);
@@ -421,6 +482,7 @@ PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
     // Park on the shared long queue.
     std::lock_guard<std::mutex> lock(longMutex_);
     longQueue_.push_back(std::move(task));
+    longLen_.store(longQueue_.size(), std::memory_order_release);
 }
 
 void
@@ -453,25 +515,37 @@ PreemptibleRuntime::shutdown()
     timer_.shutdown();
 }
 
+std::uint64_t
+PreemptibleRuntime::sumCounters(
+    std::atomic<std::uint64_t> WorkerCounters::*field) const
+{
+    std::uint64_t sum = 0;
+    for (const auto &w : workers_)
+        sum += (w->counters.*field).load(std::memory_order_relaxed);
+    return sum;
+}
+
 RuntimeStats
 PreemptibleRuntime::stats() const
 {
     RuntimeStats s;
     s.submitted = submitted_.load();
-    s.completed = completed_.load();
     s.rejectedFull = rejectedFull_.load();
     s.rejectedPolicy = rejectedPolicy_.load();
-    s.preemptions = preemptions_.load();
-    s.stealAttempts = stealAttempts_.load();
-    s.stealHits = stealHits_.load();
-    s.stealAborts = stealAborts_.load();
-    s.migrations = migrations_.load();
     s.deadlineFires = deadlineFires_.load();
-    s.expiredDrops = expiredDrops_.load();
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    s.staleSignals = staleSignals_;
-    s.lcLatency = lcLatency_;
-    s.beLatency = beLatency_;
+    s.completed = sumCounters(&WorkerCounters::completed);
+    s.preemptions = sumCounters(&WorkerCounters::preemptions);
+    s.stealAttempts = sumCounters(&WorkerCounters::stealAttempts);
+    s.stealHits = sumCounters(&WorkerCounters::stealHits);
+    s.stealAborts = sumCounters(&WorkerCounters::stealAborts);
+    s.migrations = sumCounters(&WorkerCounters::migrations);
+    s.expiredDrops = sumCounters(&WorkerCounters::expiredDrops);
+    s.staleSignals = sumCounters(&WorkerCounters::staleSignals);
+    for (const auto &w : workers_) {
+        std::lock_guard<std::mutex> lock(w->latency.mutex);
+        s.lcLatency.merge(w->latency.lc);
+        s.beLatency.merge(w->latency.be);
+    }
     return s;
 }
 
@@ -481,14 +555,14 @@ PreemptibleRuntime::throughputRps() const
     TimeNs elapsed = hostNowNs() - startedAt_;
     if (elapsed == 0)
         return 0;
-    return static_cast<double>(completed_.load()) / nsToSec(elapsed);
+    return static_cast<double>(sumCounters(&WorkerCounters::completed)) /
+           nsToSec(elapsed);
 }
 
 std::size_t
 PreemptibleRuntime::longQueueLen() const
 {
-    std::lock_guard<std::mutex> lock(longMutex_);
-    return longQueue_.size();
+    return longLen_.load(std::memory_order_acquire);
 }
 
 void
@@ -535,25 +609,27 @@ PreemptibleRuntime::sampleTelemetry(obs::MetricsRegistry &r)
 
     // Cumulative counts as true counters: each pass adds the delta
     // since the last one (single publisher thread; no races).
-    auto bump = [&r](const std::string &name, std::uint64_t total,
-                     std::uint64_t &prev) {
+    auto publish = [&r](const std::string &name, std::uint64_t total,
+                        std::uint64_t &prev) {
         if (total > prev)
             r.counter(name).add(total - prev);
         prev = total;
     };
-    bump(prefix + ".submitted", submitted_.load(), publishedSubmitted_);
-    bump(prefix + ".completed", completed_.load(), publishedCompleted_);
-    bump(prefix + ".rejected_full", rejectedFull_.load(),
-         publishedRejectedFull_);
-    bump(prefix + ".rejected_policy", rejectedPolicy_.load(),
-         publishedRejectedPolicy_);
-    bump(prefix + ".preempted", preemptions_.load(),
-         publishedPreemptions_);
-    bump(prefix + ".timer.fires", timer_.firesTotal(),
-         publishedTimerFires_);
-    bump(prefix + ".timer.wheel_fires", timer_.wheelFiresTotal(),
-         publishedWheelFires_);
-    bump(prefix + ".timer.scans", timer_.scans(), publishedScans_);
+    publish(prefix + ".submitted", submitted_.load(),
+            publishedSubmitted_);
+    publish(prefix + ".completed", sumCounters(&WorkerCounters::completed),
+            publishedCompleted_);
+    publish(prefix + ".rejected_full", rejectedFull_.load(),
+            publishedRejectedFull_);
+    publish(prefix + ".rejected_policy", rejectedPolicy_.load(),
+            publishedRejectedPolicy_);
+    publish(prefix + ".preempted", sumCounters(&WorkerCounters::preemptions),
+            publishedPreemptions_);
+    publish(prefix + ".timer.fires", timer_.firesTotal(),
+            publishedTimerFires_);
+    publish(prefix + ".timer.wheel_fires", timer_.wheelFiresTotal(),
+            publishedWheelFires_);
+    publish(prefix + ".timer.scans", timer_.scans(), publishedScans_);
 }
 
 } // namespace preempt::runtime

@@ -19,6 +19,13 @@
  * behind one worker (the decentralised design of PAPER.md section IV,
  * in contrast to a Shinjuku-style central dispatcher).
  *
+ * Accounting is per worker: each worker counts its own events in a
+ * cache-line-padded block only it writes, records sojourns into its
+ * own histograms and caches its registry handles, so the per-task and
+ * idle paths share only the few lines DESIGN.md section 11.4 lists
+ * (the in-flight count among them). stats() and the telemetry sampler
+ * sum the blocks on read.
+ *
  * Per-task deadlines: each worker owns a WheelShard (a TimingWheel
  * advanced by the LibUtimer thread). A task submitted with a deadline
  * arms it in the target worker's shard; when the task changes workers
@@ -49,7 +56,9 @@
 #include "preemptible/utimer.hh"
 
 namespace preempt::obs {
+class Counter;
 class MetricsRegistry;
+class TimerMetric;
 } // namespace preempt::obs
 
 namespace preempt::control {
@@ -224,8 +233,55 @@ class PreemptibleRuntime
     }
 
   private:
+    /**
+     * One worker's event counts. Only the owning worker writes them,
+     * with a relaxed load+store (no RMW, no shared line); readers sum
+     * the blocks. Each count is monotonic, so a sum read twice by one
+     * reader never goes back.
+     */
+    struct alignas(kCacheLine) WorkerCounters
+    {
+        std::atomic<std::uint64_t> completed{0};
+        std::atomic<std::uint64_t> preemptions{0};
+        std::atomic<std::uint64_t> stealAttempts{0};
+        std::atomic<std::uint64_t> stealHits{0};
+        std::atomic<std::uint64_t> stealAborts{0};
+        std::atomic<std::uint64_t> migrations{0}; ///< tasks adopted
+        std::atomic<std::uint64_t> expiredDrops{0};
+        std::atomic<std::uint64_t> staleSignals{0}; ///< set at exit
+    };
+
+    /** One worker's sojourn histograms: the worker records under its
+     *  own mutex, which only stats() ever contends for. */
+    struct alignas(kCacheLine) WorkerLatency
+    {
+        mutable std::mutex mutex;
+        LatencyHistogram lc;
+        LatencyHistogram be;
+    };
+
+    /**
+     * Registry handles of one worker's hot-path metrics, used on the
+     * worker's thread only. `registry` is re-read when
+     * obs::metricsGeneration() changes, which also drops every
+     * handle; each handle is then looked up by name at its metric's
+     * next event, so a registry lists only metrics that saw one.
+     */
+    struct MetricHandles
+    {
+        std::uint64_t generation = 0; ///< 0 = never resolved
+        obs::MetricsRegistry *registry = nullptr; ///< null = none
+        obs::TimerMetric *sojourn = nullptr;
+        obs::Counter *stealAttempt = nullptr;
+        obs::Counter *stealHit = nullptr;
+        obs::Counter *stealAbort = nullptr;
+        obs::Counter *migrations = nullptr;
+        obs::Counter *preemptions = nullptr;
+        obs::Counter *expiredDrops = nullptr;
+    };
+
     /** Per-worker scheduling state. */
-    struct WorkerState
+    struct alignas(kCacheLine) WorkerState
     {
         WorkerState(std::size_t queueCapacity, std::uint64_t seed,
                     std::uint64_t stream)
@@ -238,14 +294,18 @@ class PreemptibleRuntime
         SpscRing<TaskRecord *> inbox;
         std::mutex submitMutex;
 
-        /** Owner pops LIFO; idle peers steal FIFO batches. */
+        /** Owner pops LIFO; idle peers steal FIFO batches. Inbox
+         *  arrivals are staged so the owner still serves them FCFS. */
         StealDeque<TaskRecord *> ready;
-
-        /** Victim-selection stream (deterministic per worker). */
-        Rng rng;
 
         /** Deadline shard (advanced by the LibUtimer thread). */
         std::unique_ptr<WheelShard> shard;
+
+        // Written by the owner only, on its own lines.
+        alignas(kCacheLine) Rng rng; ///< victim selection, per worker
+        MetricHandles metrics;
+        WorkerCounters counters;
+        WorkerLatency latency;
 
         // Live scheduler state published by the telemetry sampler:
         // written by the owning worker, read from the publisher thread.
@@ -260,14 +320,17 @@ class PreemptibleRuntime
     /** Run one task until completion, preempting per quantum. */
     void runTask(int worker, std::unique_ptr<TaskRecord> task);
 
-    /** Move inbox arrivals onto the ready deque. @return tasks moved. */
+    /** Move up to a batch of the oldest inbox arrivals onto the
+     *  (empty) ready deque, staged so the owner's pops serve them
+     *  FCFS. @return tasks moved. */
     std::size_t drainInbox(int index, WorkerState &w);
 
     /** Two-choice steal round; pushes spoils onto our deque.
      *  @return a task to run now, or nullptr. */
     TaskRecord *trySteal(int self);
 
-    /** Re-home a task's pending deadline onto `to`'s shard. */
+    /** Re-home a task's pending deadline onto `to`'s shard (called
+     *  on worker `to`'s thread). */
     void migrateTask(TaskRecord *task, int to);
 
     /** Revoke a task's pending deadline (pre-completion/drop). */
@@ -277,28 +340,40 @@ class PreemptibleRuntime
     bool deadlineHopeless(const TaskRecord *task) const;
     void dropTask(int worker, std::unique_ptr<TaskRecord> task);
 
+    /** Worker `index`'s registry handles, dropped first if the
+     *  installed registry changed (worker thread only). */
+    MetricHandles &metrics(int index);
+
+    /** Sum one per-worker count over every worker. */
+    std::uint64_t
+    sumCounters(std::atomic<std::uint64_t> WorkerCounters::*field) const;
+
     /** Telemetry sampler body: publish live per-worker scheduler
      *  state into the publisher's registry (publisher thread). */
     void sampleTelemetry(obs::MetricsRegistry &registry);
 
     Options options_;
     UTimer timer_;
-    std::atomic<TimeNs> quantum_;
+
+    // Each group below starts its own cache line, so writes to one
+    // never invalidate the line another thread reads.
+
+    // Read on every launch and idle pass, written almost never.
+    alignas(kCacheLine) std::atomic<TimeNs> quantum_;
     std::atomic<bool> stopping_{false};
-    std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> completed_{0};
+    TimeNs startedAt_;
+
+    // Written by submitting threads only.
+    alignas(kCacheLine) std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> rejectedFull_{0};
     std::atomic<std::uint64_t> rejectedPolicy_{0};
-    std::atomic<std::uint64_t> preemptions_{0};
-    std::atomic<std::uint64_t> inFlight_{0};
     std::atomic<std::uint64_t> rrNext_{0};
-    std::atomic<std::uint64_t> stealAttempts_{0};
-    std::atomic<std::uint64_t> stealHits_{0};
-    std::atomic<std::uint64_t> stealAborts_{0};
-    std::atomic<std::uint64_t> migrations_{0};
-    std::atomic<std::uint64_t> deadlineFires_{0};
-    std::atomic<std::uint64_t> expiredDrops_{0};
-    TimeNs startedAt_;
+
+    /** Submitters add, workers retire. */
+    alignas(kCacheLine) std::atomic<std::uint64_t> inFlight_{0};
+
+    /** Written by the LibUtimer thread only. */
+    alignas(kCacheLine) std::atomic<std::uint64_t> deadlineFires_{0};
 
     /** Telemetry sampler registration (0 = none). */
     std::uint64_t samplerId_ = 0;
@@ -316,13 +391,11 @@ class PreemptibleRuntime
 
     std::vector<std::unique_ptr<WorkerState>> workers_;
 
+    /** Shared long (preempted) queue. longLen_ mirrors its size so
+     *  an idle pass takes longMutex_ only when there is work. */
+    alignas(kCacheLine) std::atomic<std::size_t> longLen_{0};
     mutable std::mutex longMutex_;
     std::deque<std::unique_ptr<TaskRecord>> longQueue_;
-
-    mutable std::mutex statsMutex_;
-    LatencyHistogram lcLatency_;
-    LatencyHistogram beLatency_;
-    std::uint64_t staleSignals_ = 0;
 };
 
 } // namespace preempt::runtime

@@ -87,7 +87,6 @@ void
 UTimer::timerLoop()
 {
     while (running_.load(std::memory_order_relaxed)) {
-        scans_.fetch_add(1, std::memory_order_relaxed);
         TimeNs now = hostNowNs();
         TimeNs soonest = kTimeNever;
         for (auto &slot : slots_) {
@@ -144,6 +143,7 @@ UTimer::timerLoop()
                 }
             }
         }
+        scans_.fetch_add(1, std::memory_order_release);
 
         if (soonest == kTimeNever) {
             // Nothing armed: nap to keep small hosts responsive.

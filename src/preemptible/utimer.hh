@@ -268,7 +268,12 @@ class UTimer
         return lastFireNs_.load(std::memory_order_relaxed);
     }
 
-    /** Scan passes executed (for poll-rate diagnostics). */
+    /**
+     * Scan passes completed (for poll-rate diagnostics). A pass counts
+     * only once it is over, with release order: a caller that sees
+     * this advance by two after uninstalling a metrics registry knows
+     * the pass that may have looked the old one up has finished.
+     */
     std::uint64_t scans() const { return scans_.load(); }
 
     int signo() const { return options_.signo; }
