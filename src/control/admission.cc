@@ -240,12 +240,6 @@ AdmissionController::tenants() const
 void
 AdmissionController::exportMetrics(obs::MetricsRegistry &registry)
 {
-    auto bump = [&registry](const std::string &name, std::uint64_t total,
-                            std::uint64_t &prev) {
-        if (total > prev)
-            registry.counter(name).add(total - prev);
-        prev = total;
-    };
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto &kv : tenants_) {
         Tenant &t = *kv.second;
@@ -254,18 +248,14 @@ AdmissionController::exportMetrics(obs::MetricsRegistry &registry)
             .set(t.state.load(std::memory_order_acquire));
         registry.gauge("control.duty" + suffix)
             .set(t.duty.load(std::memory_order_relaxed));
-        bump("control.admitted.lc" + suffix,
-             t.admittedLc.load(std::memory_order_relaxed),
-             t.pubAdmittedLc);
-        bump("control.admitted.be" + suffix,
-             t.admittedBe.load(std::memory_order_relaxed),
-             t.pubAdmittedBe);
-        bump("control.rejected.lc" + suffix,
-             t.rejectedLc.load(std::memory_order_relaxed),
-             t.pubRejectedLc);
-        bump("control.rejected.be" + suffix,
-             t.rejectedBe.load(std::memory_order_relaxed),
-             t.pubRejectedBe);
+        totals_.push(registry, "control.admitted.lc" + suffix,
+                     t.admittedLc.load(std::memory_order_relaxed));
+        totals_.push(registry, "control.admitted.be" + suffix,
+                     t.admittedBe.load(std::memory_order_relaxed));
+        totals_.push(registry, "control.rejected.lc" + suffix,
+                     t.rejectedLc.load(std::memory_order_relaxed));
+        totals_.push(registry, "control.rejected.be" + suffix,
+                     t.rejectedBe.load(std::memory_order_relaxed));
     }
 }
 

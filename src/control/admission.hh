@@ -233,13 +233,6 @@ class AdmissionController
         std::uint64_t stateChanges = 0;
         int highStreak = 0;
         int lowStreak = 0;
-
-        // Cumulative values already pushed into exported counters
-        // (delta feed; stepping thread only).
-        std::uint64_t pubAdmittedLc = 0;
-        std::uint64_t pubAdmittedBe = 0;
-        std::uint64_t pubRejectedLc = 0;
-        std::uint64_t pubRejectedBe = 0;
     };
 
     Tenant &tenantRef(std::uint32_t id);
@@ -248,6 +241,7 @@ class AdmissionController
     AdmissionParams params_;
     mutable std::mutex mutex_; ///< guards tenants_ map shape
     std::map<std::uint32_t, std::unique_ptr<Tenant>> tenants_;
+    obs::TotalFeed totals_; ///< exportMetrics() counter mirror
 
 #ifndef PREEMPT_OBS_DISABLED
     obs::TelemetryPublisher *publisher_ = nullptr;

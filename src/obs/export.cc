@@ -197,8 +197,8 @@ class JsonChecker
         if (eof())
             return fail("unexpected end");
         switch (peek()) {
-          case '{': return object();
-          case '[': return array();
+          case '{': return sequence(true);
+          case '[': return sequence(false);
           case '"': return string();
           case 't': return literal("true");
           case 'f': return literal("false");
@@ -207,68 +207,46 @@ class JsonChecker
         }
     }
 
+    /** '{' members '}' (keyed) or '[' values ']'. */
     bool
-    object()
+    sequence(bool keyed)
     {
-        ++pos_; // '{'
+        const char close = keyed ? '}' : ']';
+        ++pos_; // '{' or '['
         skipWs();
-        if (!eof() && peek() == '}') {
+        if (!eof() && peek() == close) {
             ++pos_;
             return true;
         }
         for (;;) {
             skipWs();
-            if (eof() || peek() != '"')
-                return fail("expected object key");
-            if (!string())
-                return false;
-            skipWs();
-            if (eof() || peek() != ':')
-                return fail("expected ':'");
-            ++pos_;
-            skipWs();
+            if (keyed) {
+                if (eof() || peek() != '"')
+                    return fail("expected object key");
+                if (!string())
+                    return false;
+                skipWs();
+                if (eof() || peek() != ':')
+                    return fail("expected ':'");
+                ++pos_;
+                skipWs();
+            }
             if (!value())
                 return false;
             skipWs();
             if (eof())
-                return fail("unterminated object");
+                return fail(keyed ? "unterminated object"
+                                  : "unterminated array");
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
-            if (peek() == '}') {
+            if (peek() == close) {
                 ++pos_;
                 return true;
             }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skipWs();
-        if (!eof() && peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (eof())
-                return fail("unterminated array");
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or ']'");
+            return fail(keyed ? "expected ',' or '}'"
+                              : "expected ',' or ']'");
         }
     }
 
@@ -310,37 +288,36 @@ class JsonChecker
         return fail("unterminated string");
     }
 
+    /** Consume a run of digits; false if there was none. */
+    bool
+    digits()
+    {
+        std::size_t start = pos_;
+        while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
+            ++pos_;
+        return pos_ > start;
+    }
+
     bool
     number()
     {
         if (peek() == '-')
             ++pos_;
-        if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-            return fail("bad number");
-        if (peek() == '0') {
+        if (!eof() && peek() == '0')
             ++pos_;
-        } else {
-            while (!eof() &&
-                   std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
+        else if (!digits())
+            return fail("bad number");
         if (!eof() && peek() == '.') {
             ++pos_;
-            if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
+            if (!digits())
                 return fail("bad fraction");
-            while (!eof() &&
-                   std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
         }
         if (!eof() && (peek() == 'e' || peek() == 'E')) {
             ++pos_;
             if (!eof() && (peek() == '+' || peek() == '-'))
                 ++pos_;
-            if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
+            if (!digits())
                 return fail("bad exponent");
-            while (!eof() &&
-                   std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
         }
         return true;
     }

@@ -1,9 +1,10 @@
 #include "obs/metrics.hh"
 
-#include <cmath>
 #include <locale>
 #include <sstream>
 #include <vector>
+
+#include "obs/json.hh"
 
 namespace preempt::obs {
 
@@ -17,48 +18,6 @@ std::atomic<MetricsRegistry *> g_metrics{nullptr};
 
 /** Per-thread shadow (parallel harness cells); plain — thread-owned. */
 thread_local MetricsRegistry *t_threadMetrics = nullptr;
-
-/** JSON-escape a metric name (names are ASCII identifiers, but be
- *  safe about quotes/backslashes). */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-/** Render a double without locale surprises; integers stay integral.
- *  Explicitly pinned to the classic "C" locale and a fixed precision:
- *  default-constructed streams inherit std::locale::global(), which a
- *  host application may have set to one with ',' decimal points or
- *  digit grouping, and the metrics dump is part of the byte-identical
- *  A/B guarantee. */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    os.precision(6);
-    os << std::fixed << v;
-    return os.str();
-}
-
-void
-histJson(std::ostringstream &os, const LatencyHistogram &h)
-{
-    os << "{\"count\": " << h.count() << ", \"min\": " << h.min()
-       << ", \"max\": " << h.max() << ", \"mean\": " << num(h.mean())
-       << ", \"p50\": " << h.p50() << ", \"p90\": " << h.p90()
-       << ", \"p99\": " << h.p99() << ", \"p999\": " << h.p999() << "}";
-}
 
 } // namespace
 
@@ -117,11 +76,11 @@ MetricsRegistry::toJson() const
 
     for (const auto &[name, c] : counters_) {
         sep();
-        os << "  \"" << escape(name) << "\": " << c->value();
+        os << "  \"" << jsonEscape(name) << "\": " << c->value();
     }
     for (const auto &[name, g] : gauges_) {
         sep();
-        os << "  \"" << escape(name) << "\": " << g->value();
+        os << "  \"" << jsonEscape(name) << "\": " << g->value();
     }
 
     // Per-core families ("x/coreN") merge into a machine-wide "x".
@@ -129,16 +88,16 @@ MetricsRegistry::toJson() const
     for (const auto &[name, t] : timers_) {
         sep();
         LatencyHistogram h = t->histogram();
-        os << "  \"" << escape(name) << "\": ";
-        histJson(os, h);
+        os << "  \"" << jsonEscape(name) << "\": ";
+        writeSummary(os, HistogramSummary::of(h));
         auto slash = name.rfind("/core");
         if (slash != std::string::npos)
             families[name.substr(0, slash)].merge(h);
     }
     for (const auto &[name, merged] : families) {
         sep();
-        os << "  \"" << escape(name) << "\": ";
-        histJson(os, merged);
+        os << "  \"" << jsonEscape(name) << "\": ";
+        writeSummary(os, HistogramSummary::of(merged));
     }
 
     os << "\n}\n";

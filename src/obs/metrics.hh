@@ -236,6 +236,29 @@ class MetricsRegistry
     std::size_t windowEpochs_ = 0;
 };
 
+/**
+ * Mirrors cumulative totals kept outside the registry into registry
+ * counters: each push() adds the growth since the previous push of the
+ * same name, so the counter tracks the total. Single-threaded (one
+ * telemetry sampler or stepping thread pushes).
+ */
+class TotalFeed
+{
+  public:
+    void
+    push(MetricsRegistry &registry, const std::string &name,
+         std::uint64_t total)
+    {
+        std::uint64_t &prev = pushed_[name];
+        if (total > prev)
+            registry.counter(name).add(total - prev);
+        prev = total;
+    }
+
+  private:
+    std::map<std::string, std::uint64_t> pushed_;
+};
+
 namespace detail {
 extern std::atomic<std::uint64_t> g_metricsGeneration;
 } // namespace detail

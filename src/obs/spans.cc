@@ -215,36 +215,17 @@ SpanCollector::finishSpan(Shard &shard, OpenSpan &open, std::uint64_t ts,
         invariantViolations_.fetch_add(1, std::memory_order_relaxed);
 
     std::lock_guard<std::mutex> lock(aggMutex_);
-    TenantStats &t = tenants_[span.tenant];
-    TenantWindow *w = nullptr;
-    if (options_.windowEpochs != 0)
-        w = &windows_
-                 .try_emplace(span.tenant, options_.windowEpochs)
-                 .first->second;
-    bool violated =
-        options_.sloNs != 0 && span.latencyNs() > options_.sloNs;
-    if (completed) {
-        ++t.completed;
-        t.queued.record(span.breakdown.queuedNs);
-        t.running.record(span.breakdown.runningNs);
-        t.preempted.record(span.breakdown.preemptedNs);
-        t.timerLag.record(span.breakdown.timerLagNs);
-        t.total.record(span.latencyNs());
+    bool violated = tenants_[span.tenant].add(span, options_.sloNs);
+    if (options_.windowEpochs != 0) {
+        TenantWindow &w =
+            windows_.try_emplace(span.tenant, options_.windowEpochs)
+                .first->second;
+        if (!completed)
+            w.cancelled.add();
+        else
+            w.record(span);
         if (violated)
-            ++t.violations;
-        if (w) {
-            w->queued.record(span.breakdown.queuedNs);
-            w->running.record(span.breakdown.runningNs);
-            w->preempted.record(span.breakdown.preemptedNs);
-            w->timerLag.record(span.breakdown.timerLagNs);
-            w->total.record(span.latencyNs());
-            if (violated)
-                w->violations.add();
-        }
-    } else {
-        ++t.cancelled;
-        if (w)
-            w->cancelled.add();
+            w.violations.add();
     }
     if (options_.keepSpans != 0) {
         if (retained_.size() < options_.keepSpans)
@@ -271,11 +252,8 @@ SpanCollector::tenantWindowStats() const
     std::map<std::uint32_t, TenantStats> out;
     for (const auto &[tenant, w] : windows_) {
         TenantStats t;
-        t.queued = w.queued.aggregate();
-        t.running = w.running.aggregate();
-        t.preempted = w.preempted.aggregate();
-        t.timerLag = w.timerLag.aggregate();
-        t.total = w.total.aggregate();
+        for (std::size_t i = 0; i < TenantWindow::kCount; ++i)
+            t.part(i) = w.part(i).aggregate();
         t.completed = t.total.count();
         t.cancelled = w.cancelled.total();
         t.violations = w.violations.total();
@@ -297,11 +275,8 @@ SpanCollector::rotateWindows()
 {
     std::lock_guard<std::mutex> lock(aggMutex_);
     for (auto &[tenant, w] : windows_) {
-        w.queued.rotate();
-        w.running.rotate();
-        w.preempted.rotate();
-        w.timerLag.rotate();
-        w.total.rotate();
+        for (std::size_t i = 0; i < TenantWindow::kCount; ++i)
+            w.part(i).rotate();
         w.cancelled.rotate();
         w.violations.rotate();
     }

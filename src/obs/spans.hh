@@ -47,6 +47,7 @@
 #ifndef PREEMPT_OBS_DISABLED
 
 #include <atomic>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -96,6 +97,55 @@ struct TaskSpan
 };
 
 /**
+ * The five span-delay aggregates, one T each: the four parts of the
+ * decomposition, then the end-to-end total. kNames is the one ordered
+ * name table every rendering uses (JSON keys, Prometheus families,
+ * checksum order), and part(i) is the member kNames[i] names.
+ */
+template <typename T>
+struct SpanParts
+{
+    static constexpr std::size_t kCount = 5;
+    static constexpr const char *kNames[kCount] = {
+        "queued", "running", "preempted", "timer_lag", "total"};
+
+    T queued;
+    T running;
+    T preempted;
+    T timerLag;
+    T total;
+
+    SpanParts() = default;
+
+    /** Construct every part from the same arguments. */
+    template <typename... Args>
+    explicit SpanParts(const Args &...args)
+        : queued(args...), running(args...), preempted(args...),
+          timerLag(args...), total(args...)
+    {
+    }
+
+    T &part(std::size_t i) { return this->*kMembers[i]; }
+    const T &part(std::size_t i) const { return this->*kMembers[i]; }
+
+    /** Record a span's breakdown, with its latency as the total. */
+    void
+    record(const TaskSpan &span)
+    {
+        queued.record(span.breakdown.queuedNs);
+        running.record(span.breakdown.runningNs);
+        preempted.record(span.breakdown.preemptedNs);
+        timerLag.record(span.breakdown.timerLagNs);
+        total.record(span.latencyNs());
+    }
+
+  private:
+    static constexpr T SpanParts::*kMembers[kCount] = {
+        &SpanParts::queued, &SpanParts::running, &SpanParts::preempted,
+        &SpanParts::timerLag, &SpanParts::total};
+};
+
+/**
  * Streaming span folder. Feed it lifecycle records (any order across
  * tasks, per-task order as emitted); finished spans aggregate into
  * per-tenant delay-breakdown histograms and optionally a bounded list
@@ -126,16 +176,28 @@ class SpanCollector
     };
 
     /** Per-tenant aggregate of finished spans. */
-    struct TenantStats
+    struct TenantStats : SpanParts<LatencyHistogram>
     {
         std::uint64_t completed = 0;
         std::uint64_t cancelled = 0;
         std::uint64_t violations = 0; ///< totals above Options::sloNs
-        LatencyHistogram queued;
-        LatencyHistogram running;
-        LatencyHistogram preempted;
-        LatencyHistogram timerLag;
-        LatencyHistogram total;
+
+        /** Fold one finished span; a completed one whose latency
+         *  exceeds sloNs (0 = no SLO) is a violation.
+         *  @return whether it was. */
+        bool
+        add(const TaskSpan &span, std::uint64_t sloNs)
+        {
+            if (!span.completed) {
+                ++cancelled;
+                return false;
+            }
+            ++completed;
+            record(span);
+            bool violated = sloNs != 0 && span.latencyNs() > sloNs;
+            violations += violated;
+            return violated;
+        }
     };
 
     /** Events that could not be folded cleanly. On a deterministic
@@ -228,20 +290,13 @@ class SpanCollector
     struct Shard;
 
     /** Sliding-window companion of one tenant's aggregates. */
-    struct TenantWindow
+    struct TenantWindow : SpanParts<WindowedLatencyHistogram>
     {
         explicit TenantWindow(std::size_t epochs)
-            : queued(epochs), running(epochs), preempted(epochs),
-              timerLag(epochs), total(epochs), cancelled(epochs),
-              violations(epochs)
+            : SpanParts(epochs), cancelled(epochs), violations(epochs)
         {
         }
 
-        WindowedLatencyHistogram queued;
-        WindowedLatencyHistogram running;
-        WindowedLatencyHistogram preempted;
-        WindowedLatencyHistogram timerLag;
-        WindowedLatencyHistogram total;
         WindowedCounter cancelled;
         WindowedCounter violations;
     };

@@ -118,19 +118,6 @@ hashTimer(Fnv &h, const TelemetrySnapshot::TimerSample &t)
 
 // ----- rendering helpers --------------------------------------------
 
-/** Locale-pinned fixed-precision double (byte-stable output). */
-std::string
-num(double v)
-{
-    if (!(v == v) || v > 1e300 || v < -1e300) // NaN / inf
-        return "0";
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    os.precision(6);
-    os << std::fixed << v;
-    return os.str();
-}
-
 /**
  * Split a metric name into a Prometheus-safe base name and labels.
  * The part before the first '/' becomes the base ('.' -> '_'); the
@@ -156,25 +143,6 @@ sanitize(const std::string &s)
     }
     if (!out.empty() && out[0] >= '0' && out[0] <= '9')
         out.insert(out.begin(), '_');
-    return out;
-}
-
-/** Label VALUES allow any UTF-8; only escape per the exposition
- *  format (backslash, double quote, newline). */
-std::string
-labelEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '\\' || c == '"')
-            out.push_back('\\');
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out.push_back(c);
-    }
     return out;
 }
 
@@ -214,25 +182,62 @@ promName(const std::string &name)
         }
         if (!labels.empty())
             labels += ",";
-        labels += sanitize(key) + "=\"" + labelEscape(val) + "\"";
+        labels += sanitize(key) + "=\"" + jsonEscape(val) + "\"";
     }
     if (!labels.empty())
         out.labels = "{" + labels + "}";
     return out;
 }
 
+/**
+ * Exposition text grouped by family: each family's TYPE line once,
+ * then every sample of it, families in order of first use. The text
+ * format allows one TYPE line per family and requires a family's
+ * samples to be contiguous; per-worker, per-core and per-tenant series
+ * of one family arrive interleaved with other families.
+ */
+class PromFamilies
+{
+  public:
+    /** Stream for one more sample line of `family`. */
+    std::ostream &
+    sample(const std::string &family, const char *type)
+    {
+        auto [it, fresh] = index_.try_emplace(family, bodies_.size());
+        if (fresh) {
+            bodies_.emplace_back();
+            bodies_.back().imbue(std::locale::classic());
+            bodies_.back() << "# TYPE " << family << ' ' << type << '\n';
+        }
+        return bodies_[it->second];
+    }
+
+    std::string
+    str() const
+    {
+        std::string out;
+        for (const auto &body : bodies_)
+            out += body.str();
+        return out;
+    }
+
+  private:
+    std::map<std::string, std::size_t> index_;
+    std::vector<std::ostringstream> bodies_;
+};
+
 void
-promSummary(std::ostringstream &os, const std::string &base,
+promSummary(PromFamilies &out, const std::string &base,
             const std::string &extraLabel,
             const TelemetrySnapshot::TimerStats &t)
 {
+    std::ostream &os = out.sample(base, "summary");
     auto line = [&](const char *q, std::uint64_t v) {
         os << base << '{';
         if (!extraLabel.empty())
             os << extraLabel << ',';
         os << "quantile=\"" << q << "\"} " << v << '\n';
     };
-    os << "# TYPE " << base << " summary\n";
     line("0.5", t.p50);
     line("0.9", t.p90);
     line("0.99", t.p99);
@@ -240,80 +245,22 @@ promSummary(std::ostringstream &os, const std::string &base,
     std::string curly =
         extraLabel.empty() ? "" : "{" + extraLabel + "}";
     os << base << "_sum" << curly << ' '
-       << num(t.mean * static_cast<double>(t.count)) << '\n';
+       << jsonNumber(t.mean * static_cast<double>(t.count)) << '\n';
     os << base << "_count" << curly << ' ' << t.count << '\n';
-}
-
-void
-jsonStatsBody(std::ostringstream &os,
-              const TelemetrySnapshot::TimerStats &t)
-{
-    os << "\"count\": " << t.count << ", \"min\": " << t.min
-       << ", \"max\": " << t.max << ", \"mean\": " << num(t.mean)
-       << ", \"p50\": " << t.p50 << ", \"p90\": " << t.p90
-       << ", \"p99\": " << t.p99 << ", \"p999\": " << t.p999;
-}
-
-void
-jsonStats(std::ostringstream &os,
-          const TelemetrySnapshot::TimerStats &t)
-{
-    os << "{";
-    jsonStatsBody(os, t);
-    os << "}";
 }
 
 /** Lifetime stats plus, when windowing is on, a nested "window"
  *  object with the last-W aggregate. */
 void
-jsonTimer(std::ostringstream &os,
-          const TelemetrySnapshot::TimerSample &t)
+jsonTimer(std::ostream &os, const TelemetrySnapshot::TimerSample &t)
 {
     os << "{";
-    jsonStatsBody(os, t);
+    writeSummaryFields(os, t);
     if (t.windowed) {
         os << ", \"window\": ";
-        jsonStats(os, t.window);
+        writeSummary(os, t.window);
     }
     os << "}";
-}
-
-/** JSON string escaping for metric names (quotes/backslashes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-TelemetrySnapshot::TimerStats
-sampleStats(const LatencyHistogram &h)
-{
-    TelemetrySnapshot::TimerStats t;
-    t.count = h.count();
-    t.min = h.min();
-    t.max = h.max();
-    t.mean = h.mean();
-    t.p50 = h.p50();
-    t.p90 = h.p90();
-    t.p99 = h.p99();
-    t.p999 = h.p999();
-    return t;
-}
-
-TelemetrySnapshot::TimerSample
-sampleTimer(const std::string &name, const LatencyHistogram &h)
-{
-    TelemetrySnapshot::TimerSample t;
-    static_cast<TelemetrySnapshot::TimerStats &>(t) = sampleStats(h);
-    t.name = name;
-    return t;
 }
 
 } // namespace
@@ -355,19 +302,13 @@ TelemetrySnapshot::computeChecksum() const
         h.u64(t.completed);
         h.u64(t.cancelled);
         h.u64(t.violations);
-        hashTimer(h, t.queued);
-        hashTimer(h, t.running);
-        hashTimer(h, t.preempted);
-        hashTimer(h, t.timerLag);
-        hashTimer(h, t.total);
+        for (std::size_t i = 0; i < TenantSpans::kCount; ++i)
+            hashTimer(h, t.part(i));
         h.u64(t.window.completed);
         h.u64(t.window.cancelled);
         h.u64(t.window.violations);
-        hashStats(h, t.window.queued);
-        hashStats(h, t.window.running);
-        hashStats(h, t.window.preempted);
-        hashStats(h, t.window.timerLag);
-        hashStats(h, t.window.total);
+        for (std::size_t i = 0; i < TenantSpans::kCount; ++i)
+            hashStats(h, t.window.part(i));
     }
     h.u64(spanInvariantViolations);
     h.u64(spanAnomalies);
@@ -379,121 +320,86 @@ TelemetrySnapshot::computeChecksum() const
 std::string
 renderPrometheus(const TelemetrySnapshot &snap)
 {
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-
-    os << "# TYPE preempt_up gauge\n"
-       << "preempt_up 1\n"
-       << "# TYPE preempt_telemetry_snapshots_total counter\n"
-       << "preempt_telemetry_snapshots_total " << snap.seq << '\n'
-       << "# TYPE preempt_telemetry_uptime_seconds gauge\n"
-       << "preempt_telemetry_uptime_seconds " << num(snap.uptimeSec)
-       << '\n'
-       << "# TYPE preempt_telemetry_window_seconds gauge\n"
-       << "preempt_telemetry_window_seconds " << num(snap.windowSec)
-       << '\n'
-       << "# TYPE preempt_telemetry_window_epochs gauge\n"
-       << "preempt_telemetry_window_epochs " << snap.windowEpochs
-       << '\n';
+    PromFamilies out;
+    // One sample of family `base + suffix`, labelled `labels`.
+    auto put = [&out](const std::string &base, const char *suffix,
+                      const char *type, const std::string &labels)
+        -> std::ostream & {
+        std::string family = base + suffix;
+        return out.sample(family, type) << family << labels << ' ';
+    };
+    const std::string telemetry = "preempt_telemetry_";
+    put("preempt_up", "", "gauge", "") << "1\n";
+    put(telemetry, "snapshots_total", "counter", "") << snap.seq << '\n';
+    put(telemetry, "uptime_seconds", "gauge", "")
+        << jsonNumber(snap.uptimeSec) << '\n';
+    put(telemetry, "window_seconds", "gauge", "")
+        << jsonNumber(snap.windowSec) << '\n';
+    put(telemetry, "window_epochs", "gauge", "")
+        << snap.windowEpochs << '\n';
 
     for (const auto &c : snap.counters) {
         PromName p = promName(c.name);
-        std::string base = p.base;
-        if (base.size() < 6 ||
-            base.compare(base.size() - 6, 6, "_total") != 0)
-            base += "_total";
-        os << "# TYPE " << base << " counter\n"
-           << base << p.labels << ' ' << c.value << '\n';
-        os << "# TYPE " << p.base << "_rate gauge\n"
-           << p.base << "_rate" << p.labels << ' ' << num(c.ratePerSec)
-           << '\n';
-        os << "# TYPE " << p.base << "_rate_window gauge\n"
-           << p.base << "_rate_window" << p.labels << ' '
-           << num(c.windowRatePerSec) << '\n';
-        os << "# TYPE " << p.base << "_resets_total counter\n"
-           << p.base << "_resets_total" << p.labels << ' ' << c.resets
-           << '\n';
+        bool totalSuffix = p.base.size() >= 6 &&
+                           p.base.compare(p.base.size() - 6, 6,
+                                          "_total") == 0;
+        put(p.base, totalSuffix ? "" : "_total", "counter", p.labels)
+            << c.value << '\n';
+        put(p.base, "_rate", "gauge", p.labels)
+            << jsonNumber(c.ratePerSec) << '\n';
+        put(p.base, "_rate_window", "gauge", p.labels)
+            << jsonNumber(c.windowRatePerSec) << '\n';
+        put(p.base, "_resets_total", "counter", p.labels)
+            << c.resets << '\n';
     }
     for (const auto &g : snap.gauges) {
         PromName p = promName(g.name);
-        os << "# TYPE " << p.base << " gauge\n"
-           << p.base << p.labels << ' ' << g.value << '\n';
-        os << "# TYPE " << p.base << "_watermark gauge\n"
-           << p.base << "_watermark" << p.labels << ' ' << g.watermark
-           << '\n';
-        os << "# TYPE " << p.base << "_watermark_window gauge\n"
-           << p.base << "_watermark_window" << p.labels << ' '
-           << g.windowWatermark << '\n';
+        put(p.base, "", "gauge", p.labels) << g.value << '\n';
+        put(p.base, "_watermark", "gauge", p.labels)
+            << g.watermark << '\n';
+        put(p.base, "_watermark_window", "gauge", p.labels)
+            << g.windowWatermark << '\n';
     }
     for (const auto &t : snap.timers) {
         PromName p = promName(t.name);
         std::string label = p.labels.empty()
                                 ? ""
                                 : p.labels.substr(1, p.labels.size() - 2);
-        promSummary(os, p.base, label, t);
+        promSummary(out, p.base, label, t);
         if (t.windowed)
-            promSummary(os, p.base + "_window", label, t.window);
+            promSummary(out, p.base + "_window", label, t.window);
     }
 
-    if (!snap.spans.empty()) {
-        os << "# TYPE preempt_spans_completed_total counter\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_completed_total{tenant=\"" << t.tenant
-               << "\"} " << t.completed << '\n';
-        os << "# TYPE preempt_spans_cancelled_total counter\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_cancelled_total{tenant=\"" << t.tenant
-               << "\"} " << t.cancelled << '\n';
-        os << "# TYPE preempt_spans_slo_violations_total counter\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_slo_violations_total{tenant=\""
-               << t.tenant << "\"} " << t.violations << '\n';
-        for (const auto &t : snap.spans) {
-            std::string tenant =
-                "tenant=\"" + std::to_string(t.tenant) + "\"";
-            promSummary(os, "preempt_spans_queued_ns", tenant, t.queued);
-            promSummary(os, "preempt_spans_running_ns", tenant,
-                        t.running);
-            promSummary(os, "preempt_spans_preempted_ns", tenant,
-                        t.preempted);
-            promSummary(os, "preempt_spans_timer_lag_ns", tenant,
-                        t.timerLag);
-            promSummary(os, "preempt_spans_total_ns", tenant, t.total);
-        }
-        os << "# TYPE preempt_spans_completed_window gauge\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_completed_window{tenant=\"" << t.tenant
-               << "\"} " << t.window.completed << '\n';
-        os << "# TYPE preempt_spans_cancelled_window gauge\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_cancelled_window{tenant=\"" << t.tenant
-               << "\"} " << t.window.cancelled << '\n';
-        os << "# TYPE preempt_spans_slo_violations_window gauge\n";
-        for (const auto &t : snap.spans)
-            os << "preempt_spans_slo_violations_window{tenant=\""
-               << t.tenant << "\"} " << t.window.violations << '\n';
-        for (const auto &t : snap.spans) {
-            std::string tenant =
-                "tenant=\"" + std::to_string(t.tenant) + "\"";
-            promSummary(os, "preempt_spans_queued_ns_window", tenant,
-                        t.window.queued);
-            promSummary(os, "preempt_spans_running_ns_window", tenant,
-                        t.window.running);
-            promSummary(os, "preempt_spans_preempted_ns_window", tenant,
-                        t.window.preempted);
-            promSummary(os, "preempt_spans_timer_lag_ns_window", tenant,
-                        t.window.timerLag);
-            promSummary(os, "preempt_spans_total_ns_window", tenant,
-                        t.window.total);
-        }
-        os << "# TYPE preempt_spans_invariant_violations_total counter\n"
-           << "preempt_spans_invariant_violations_total "
-           << snap.spanInvariantViolations << '\n'
-           << "# TYPE preempt_spans_anomalies_total counter\n"
-           << "preempt_spans_anomalies_total " << snap.spanAnomalies
-           << '\n';
+    const std::string spans = "preempt_spans_";
+    for (const auto &t : snap.spans) {
+        std::string tenant = "tenant=\"" + std::to_string(t.tenant) + "\"";
+        std::string curly = "{" + tenant + "}";
+        put(spans, "completed_total", "counter", curly)
+            << t.completed << '\n';
+        put(spans, "cancelled_total", "counter", curly)
+            << t.cancelled << '\n';
+        put(spans, "slo_violations_total", "counter", curly)
+            << t.violations << '\n';
+        for (std::size_t i = 0; i < t.kCount; ++i)
+            promSummary(out, spans + t.kNames[i] + "_ns", tenant,
+                        t.part(i));
+        put(spans, "completed_window", "gauge", curly)
+            << t.window.completed << '\n';
+        put(spans, "cancelled_window", "gauge", curly)
+            << t.window.cancelled << '\n';
+        put(spans, "slo_violations_window", "gauge", curly)
+            << t.window.violations << '\n';
+        for (std::size_t i = 0; i < t.kCount; ++i)
+            promSummary(out, spans + t.kNames[i] + "_ns_window", tenant,
+                        t.window.part(i));
     }
-    return os.str();
+    if (!snap.spans.empty()) {
+        put(spans, "invariant_violations_total", "counter", "")
+            << snap.spanInvariantViolations << '\n';
+        put(spans, "anomalies_total", "counter", "")
+            << snap.spanAnomalies << '\n';
+    }
+    return out.str();
 }
 
 std::string
@@ -506,9 +412,9 @@ renderTelemetryJson(const TelemetrySnapshot &snap)
     os << "  \"seq\": " << snap.seq << ",\n";
     os << "  \"wall_ns\": " << snap.wallNs << ",\n";
     os << "  \"mono_ns\": " << snap.monoNs << ",\n";
-    os << "  \"uptime_sec\": " << num(snap.uptimeSec) << ",\n";
-    os << "  \"interval_sec\": " << num(snap.intervalSec) << ",\n";
-    os << "  \"window_sec\": " << num(snap.windowSec) << ",\n";
+    os << "  \"uptime_sec\": " << jsonNumber(snap.uptimeSec) << ",\n";
+    os << "  \"interval_sec\": " << jsonNumber(snap.intervalSec) << ",\n";
+    os << "  \"window_sec\": " << jsonNumber(snap.windowSec) << ",\n";
     os << "  \"window_epochs\": " << snap.windowEpochs << ",\n";
     os << "  \"checksum\": \"" << std::hex << snap.checksum << std::dec
        << "\",\n";
@@ -518,8 +424,8 @@ renderTelemetryJson(const TelemetrySnapshot &snap)
     for (const auto &c : snap.counters) {
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(c.name)
            << "\": {\"value\": " << c.value << ", \"rate_per_sec\": "
-           << num(c.ratePerSec) << ", \"window_rate_per_sec\": "
-           << num(c.windowRatePerSec) << ", \"resets\": " << c.resets
+           << jsonNumber(c.ratePerSec) << ", \"window_rate_per_sec\": "
+           << jsonNumber(c.windowRatePerSec) << ", \"resets\": " << c.resets
            << "}";
         first = false;
     }
@@ -553,40 +459,58 @@ renderTelemetryJson(const TelemetrySnapshot &snap)
     os << "    \"tenants\": {";
     first = true;
     for (const auto &t : snap.spans) {
-        os << (first ? "\n" : ",\n") << "      \"" << t.tenant
-           << "\": {\"completed\": " << t.completed
-           << ", \"cancelled\": " << t.cancelled
-           << ", \"violations\": " << t.violations;
-        auto field = [&](const char *name,
-                         const TelemetrySnapshot::TimerSample &s) {
-            os << ", \"" << name << "\": ";
-            jsonTimer(os, s);
-        };
-        field("queued", t.queued);
-        field("running", t.running);
-        field("preempted", t.preempted);
-        field("timer_lag", t.timerLag);
-        field("total", t.total);
-        os << ", \"window\": {\"completed\": " << t.window.completed
-           << ", \"cancelled\": " << t.window.cancelled
-           << ", \"violations\": " << t.window.violations;
-        auto wfield = [&](const char *name,
-                          const TelemetrySnapshot::TimerStats &s) {
-            os << ", \"" << name << "\": ";
-            jsonStats(os, s);
-        };
-        wfield("queued", t.window.queued);
-        wfield("running", t.window.running);
-        wfield("preempted", t.window.preempted);
-        wfield("timer_lag", t.window.timerLag);
-        wfield("total", t.window.total);
-        os << "}}";
+        os << (first ? "\n" : ",\n") << "      \"" << t.tenant << "\": ";
+        writeTenantSpansJson(os, t);
         first = false;
     }
     os << (first ? "}\n" : "\n    }\n");
     os << "  }\n";
     os << "}\n";
     return os.str();
+}
+
+TelemetrySnapshot::TenantSpans
+TelemetrySnapshot::TenantSpans::from(
+    std::uint32_t tenant, const SpanCollector::TenantStats &lifetime,
+    const SpanCollector::TenantStats *window)
+{
+    TenantSpans t;
+    t.tenant = tenant;
+    t.completed = lifetime.completed;
+    t.cancelled = lifetime.cancelled;
+    t.violations = lifetime.violations;
+    for (std::size_t i = 0; i < kCount; ++i)
+        t.part(i) = {HistogramSummary::of(lifetime.part(i)), kNames[i],
+                     {}, false};
+    if (window) {
+        t.window.completed = window->completed;
+        t.window.cancelled = window->cancelled;
+        t.window.violations = window->violations;
+        for (std::size_t i = 0; i < kCount; ++i)
+            t.window.part(i) = HistogramSummary::of(window->part(i));
+    }
+    return t;
+}
+
+void
+writeTenantSpansJson(std::ostream &os,
+                     const TelemetrySnapshot::TenantSpans &t)
+{
+    os << "{\"completed\": " << t.completed
+       << ", \"cancelled\": " << t.cancelled
+       << ", \"violations\": " << t.violations;
+    for (std::size_t i = 0; i < t.kCount; ++i) {
+        os << ", \"" << t.kNames[i] << "\": ";
+        jsonTimer(os, t.part(i));
+    }
+    os << ", \"window\": {\"completed\": " << t.window.completed
+       << ", \"cancelled\": " << t.window.cancelled
+       << ", \"violations\": " << t.window.violations;
+    for (std::size_t i = 0; i < t.kCount; ++i) {
+        os << ", \"" << t.kNames[i] << "\": ";
+        writeSummary(os, t.window.part(i));
+    }
+    os << "}}";
 }
 
 // ----- sampler registry (public) ------------------------------------
@@ -871,38 +795,21 @@ TelemetryPublisher::buildAndPublish()
         MetricsSnapshot values = registry_->snapshotValues();
         tracker_.beginTick(mono);
         snap.counters.reserve(values.counters.size());
-        for (auto &[name, value] : values.counters) {
-            TelemetrySnapshot::CounterSample c;
-            c.name = name;
-            c.value = value;
-            StatTracker::CounterStats s = tracker_.counter(name, value);
-            c.ratePerSec = s.ratePerSec;
-            c.windowRatePerSec = s.windowRatePerSec;
-            c.resets = s.resets;
-            snap.counters.push_back(std::move(c));
-        }
+        for (auto &[name, value] : values.counters)
+            snap.counters.push_back(
+                {tracker_.counter(name, value), name, value});
 
         snap.gauges.reserve(values.gauges.size());
-        for (auto &[name, value] : values.gauges) {
-            TelemetrySnapshot::GaugeSample g;
-            g.name = name;
-            g.value = value;
-            StatTracker::GaugeStats s = tracker_.gauge(name, value);
-            g.watermark = s.watermark;
-            g.windowWatermark = s.windowWatermark;
-            snap.gauges.push_back(std::move(g));
-        }
+        for (auto &[name, value] : values.gauges)
+            snap.gauges.push_back({tracker_.gauge(name, value), name, value});
         tracker_.endTick();
 
         snap.timers.reserve(values.timers.size());
-        for (auto &tv : values.timers) {
-            TelemetrySnapshot::TimerSample t =
-                sampleTimer(tv.name, tv.hist);
-            t.windowed = tv.windowed;
-            if (tv.windowed)
-                t.window = sampleStats(tv.window);
-            snap.timers.push_back(std::move(t));
-        }
+        // An unwindowed timer's window histogram is empty: all zeros.
+        for (auto &tv : values.timers)
+            snap.timers.push_back({HistogramSummary::of(tv.hist), tv.name,
+                                   HistogramSummary::of(tv.window),
+                                   tv.windowed});
     }
 
     if (spans_) {
@@ -910,29 +817,10 @@ TelemetryPublisher::buildAndPublish()
         auto windows = spans_->tenantWindowStats();
         snap.spans.reserve(tenants.size());
         for (const auto &[tenant, stats] : tenants) {
-            TelemetrySnapshot::TenantSpans t;
-            t.tenant = tenant;
-            t.completed = stats.completed;
-            t.cancelled = stats.cancelled;
-            t.violations = stats.violations;
-            t.queued = sampleTimer("queued", stats.queued);
-            t.running = sampleTimer("running", stats.running);
-            t.preempted = sampleTimer("preempted", stats.preempted);
-            t.timerLag = sampleTimer("timer_lag", stats.timerLag);
-            t.total = sampleTimer("total", stats.total);
             auto wit = windows.find(tenant);
-            if (wit != windows.end()) {
-                const SpanCollector::TenantStats &w = wit->second;
-                t.window.completed = w.completed;
-                t.window.cancelled = w.cancelled;
-                t.window.violations = w.violations;
-                t.window.queued = sampleStats(w.queued);
-                t.window.running = sampleStats(w.running);
-                t.window.preempted = sampleStats(w.preempted);
-                t.window.timerLag = sampleStats(w.timerLag);
-                t.window.total = sampleStats(w.total);
-            }
-            snap.spans.push_back(std::move(t));
+            snap.spans.push_back(TelemetrySnapshot::TenantSpans::from(
+                tenant, stats,
+                wit != windows.end() ? &wit->second : nullptr));
         }
         snap.spanInvariantViolations = spans_->invariantViolations();
         snap.spanAnomalies = spans_->anomalies().total();

@@ -55,110 +55,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/spans.hh"
 
 namespace preempt::obs {
-
-/** One published snapshot: plain data, cheap to copy. */
-struct TelemetrySnapshot
-{
-    /** Quantile summary of one histogram (lifetime or windowed). */
-    struct TimerStats
-    {
-        std::uint64_t count = 0;
-        std::uint64_t min = 0;
-        std::uint64_t max = 0;
-        double mean = 0;
-        std::uint64_t p50 = 0;
-        std::uint64_t p90 = 0;
-        std::uint64_t p99 = 0;
-        std::uint64_t p999 = 0;
-    };
-
-    struct CounterSample
-    {
-        std::string name;
-        std::uint64_t value = 0;
-        double ratePerSec = 0; ///< delta vs the previous snapshot
-
-        /** Rate over the whole sliding window (last K ticks), the
-         *  honest "recent traffic" figure a single-interval delta
-         *  only approximates. */
-        double windowRatePerSec = 0;
-
-        /** Times the counter went backwards (source restarted). A
-         *  reset re-bases rates on the post-reset value instead of
-         *  silently reporting 0. */
-        std::uint64_t resets = 0;
-    };
-
-    struct GaugeSample
-    {
-        std::string name;
-        std::int64_t value = 0;
-        std::int64_t watermark = 0; ///< max value ever snapshotted
-
-        /** Max over the last K ticks only: decays once the burst that
-         *  set the lifetime watermark leaves the window. */
-        std::int64_t windowWatermark = 0;
-    };
-
-    /** Lifetime quantiles + sliding-window companion. */
-    struct TimerSample : TimerStats
-    {
-        std::string name;
-        TimerStats window;    ///< last-W aggregate (zero if off)
-        bool windowed = false;
-    };
-
-    /** Per-tenant span delay breakdown (obs/spans.hh). */
-    struct TenantSpans
-    {
-        std::uint32_t tenant = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t cancelled = 0;
-        std::uint64_t violations = 0;
-        TimerSample queued;
-        TimerSample running;
-        TimerSample preempted;
-        TimerSample timerLag;
-        TimerSample total;
-
-        /** The same breakdown over finishes inside the window only. */
-        struct Window
-        {
-            std::uint64_t completed = 0;
-            std::uint64_t cancelled = 0;
-            std::uint64_t violations = 0;
-            TimerStats queued;
-            TimerStats running;
-            TimerStats preempted;
-            TimerStats timerLag;
-            TimerStats total;
-        } window;
-    };
-
-    std::uint64_t seq = 0;       ///< snapshot number, monotonic
-    std::uint64_t wallNs = 0;    ///< CLOCK_REALTIME at build time
-    std::uint64_t monoNs = 0;    ///< CLOCK_MONOTONIC at build time
-    double uptimeSec = 0;        ///< since the publisher started
-    double intervalSec = 0;      ///< configured publish interval
-    double windowSec = 0;        ///< sliding window span (K * interval)
-    std::uint64_t windowEpochs = 0; ///< ring size K
-    std::vector<CounterSample> counters;
-    std::vector<GaugeSample> gauges;
-    std::vector<TimerSample> timers;
-    std::vector<TenantSpans> spans;
-    std::uint64_t spanInvariantViolations = 0;
-    std::uint64_t spanAnomalies = 0;
-
-    /** FNV-1a over every field; lets readers prove integrity. */
-    std::uint64_t checksum = 0;
-
-    /** Recompute the checksum field's expected value. */
-    std::uint64_t computeChecksum() const;
-};
 
 /**
  * Keyed per-metric rate and watermark memory between publisher ticks.
@@ -183,14 +84,25 @@ class StatTracker
 
     struct CounterStats
     {
-        double ratePerSec = 0;
+        double ratePerSec = 0; ///< delta vs the previous tick
+
+        /** Rate over the whole sliding window (last K ticks), the
+         *  honest "recent traffic" figure a single-interval delta
+         *  only approximates. */
         double windowRatePerSec = 0;
+
+        /** Times the counter went backwards (source restarted). A
+         *  reset re-bases rates on the post-reset value instead of
+         *  silently reporting 0. */
         std::uint64_t resets = 0;
     };
 
     struct GaugeStats
     {
-        std::int64_t watermark = 0;
+        std::int64_t watermark = 0; ///< max value ever observed
+
+        /** Max over the last K ticks only: decays once the burst that
+         *  set the lifetime watermark leaves the window. */
         std::int64_t windowWatermark = 0;
     };
 
@@ -234,11 +146,86 @@ class StatTracker
     std::map<std::string, GaugeState> gauges_;
 };
 
+/** One published snapshot: plain data, cheap to copy. */
+struct TelemetrySnapshot
+{
+    /** Quantile summary of one histogram (lifetime or windowed). */
+    using TimerStats = HistogramSummary;
+
+    struct CounterSample : StatTracker::CounterStats
+    {
+        std::string name;
+        std::uint64_t value = 0;
+    };
+
+    struct GaugeSample : StatTracker::GaugeStats
+    {
+        std::string name;
+        std::int64_t value = 0;
+    };
+
+    /** Lifetime quantiles + sliding-window companion. */
+    struct TimerSample : TimerStats
+    {
+        std::string name;
+        TimerStats window;    ///< last-W aggregate (zero if off)
+        bool windowed = false;
+    };
+
+    /** Per-tenant span delay breakdown (obs/spans.hh). */
+    struct TenantSpans : SpanParts<TimerSample>
+    {
+        std::uint32_t tenant = 0;
+        std::uint64_t completed = 0;
+        std::uint64_t cancelled = 0;
+        std::uint64_t violations = 0;
+
+        /** The same breakdown over finishes inside the window only. */
+        struct Window : SpanParts<TimerStats>
+        {
+            std::uint64_t completed = 0;
+            std::uint64_t cancelled = 0;
+            std::uint64_t violations = 0;
+        } window;
+
+        /** From a collector's lifetime aggregate and, when windowing
+         *  is on, its window aggregate. */
+        static TenantSpans from(std::uint32_t tenant,
+                                const SpanCollector::TenantStats &lifetime,
+                                const SpanCollector::TenantStats *window);
+    };
+
+    std::uint64_t seq = 0;       ///< snapshot number, monotonic
+    std::uint64_t wallNs = 0;    ///< CLOCK_REALTIME at build time
+    std::uint64_t monoNs = 0;    ///< CLOCK_MONOTONIC at build time
+    double uptimeSec = 0;        ///< since the publisher started
+    double intervalSec = 0;      ///< configured publish interval
+    double windowSec = 0;        ///< sliding window span (K * interval)
+    std::uint64_t windowEpochs = 0; ///< ring size K
+    std::vector<CounterSample> counters;
+    std::vector<GaugeSample> gauges;
+    std::vector<TimerSample> timers;
+    std::vector<TenantSpans> spans;
+    std::uint64_t spanInvariantViolations = 0;
+    std::uint64_t spanAnomalies = 0;
+
+    /** FNV-1a over every field; lets readers prove integrity. */
+    std::uint64_t checksum = 0;
+
+    /** Recompute the checksum field's expected value. */
+    std::uint64_t computeChecksum() const;
+};
+
 /** Prometheus text exposition (version 0.0.4) of a snapshot. */
 std::string renderPrometheus(const TelemetrySnapshot &snap);
 
 /** Flat JSON rendering (schema "preempt.telemetry.v1"). */
 std::string renderTelemetryJson(const TelemetrySnapshot &snap);
+
+/** One tenant's object in renderTelemetryJson's "spans.tenants"
+ *  (span_tool --json writes the same blocks). */
+void writeTenantSpansJson(std::ostream &os,
+                          const TelemetrySnapshot::TenantSpans &t);
 
 /**
  * Register a live sampler: a callback the publisher invokes right

@@ -10,6 +10,13 @@
 
 namespace preempt::runtime {
 
+namespace {
+
+/** Latency samples retained for the tail-index fit. */
+constexpr std::size_t kSampleWindow = 4096;
+
+} // namespace
+
 AdaptiveQuantumDriver::AdaptiveQuantumDriver(PreemptibleRuntime &runtime,
                                              Options options)
     : runtime_(runtime), options_(options),
@@ -38,7 +45,7 @@ AdaptiveQuantumDriver::addLatencySample(TimeNs latency_ns)
 {
     std::lock_guard<std::mutex> lock(samplesMutex_);
     samples_.push_back(static_cast<double>(latency_ns));
-    while (samples_.size() > options_.sampleWindow)
+    while (samples_.size() > kSampleWindow)
         samples_.pop_front();
 }
 

@@ -40,9 +40,6 @@ class AdaptiveQuantumDriver
          * bootstrap).
          */
         double maxLoadRps = 0;
-
-        /** Latency samples retained for the tail-index fit. */
-        std::size_t sampleWindow = 4096;
     };
 
     AdaptiveQuantumDriver(PreemptibleRuntime &runtime, Options options);

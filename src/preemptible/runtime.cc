@@ -16,8 +16,16 @@ namespace preempt::runtime {
 
 namespace {
 
-/** Hard cap on a steal round so spoils fit a stack buffer. */
-constexpr std::size_t kMaxStealBatch = 64;
+/** Max tasks taken per steal round (oldest first). */
+constexpr std::size_t kStealBatch = 8;
+
+/** Two-choice victim rounds before giving up and napping. */
+constexpr int kStealRounds = 2;
+
+/** Per-worker deadline wheel shard geometry. */
+constexpr TimeNs kWheelTick = usToNs(100);
+constexpr std::size_t kWheelSlots = 256;
+constexpr int kWheelLevels = 3;
 
 /** Inbox arrivals moved onto the deque per drain. */
 constexpr std::size_t kDrainBatch = 64;
@@ -55,9 +63,6 @@ PreemptibleRuntime::PreemptibleRuntime(Options options)
     : options_(std::move(options)), quantum_(options_.quantum)
 {
     fatal_if(options_.nWorkers <= 0, "runtime needs at least one worker");
-    fatal_if(options_.stealBatch == 0 ||
-                 options_.stealBatch > kMaxStealBatch,
-             "stealBatch must be in [1,%zu]", kMaxStealBatch);
     timer_.init(options_.timer);
     startedAt_ = hostNowNs();
 
@@ -79,9 +84,8 @@ PreemptibleRuntime::PreemptibleRuntime(Options options)
             options_.queueCapacity, options_.seed,
             static_cast<std::uint64_t>(i)));
         WorkerState &w = *workers_.back();
-        w.shard = std::make_unique<WheelShard>(
-            options_.wheelTick, options_.wheelSlots,
-            options_.wheelLevels, onFire);
+        w.shard = std::make_unique<WheelShard>(kWheelTick, kWheelSlots,
+                                               kWheelLevels, onFire);
         w.shard->primeTo(hostNowNs());
         w.shard->depthGauge =
             "runtime.wheel.depth/shard" + std::to_string(i);
@@ -208,7 +212,7 @@ TaskRecord *
 PreemptibleRuntime::trySteal(int self)
 {
     const int n = options_.nWorkers;
-    if (!options_.stealing || n < 2 || options_.stealRounds <= 0)
+    if (!options_.stealing || n < 2)
         return nullptr;
     WorkerState &me = *workers_[static_cast<std::size_t>(self)];
     MetricHandles &m = metrics(self);
@@ -221,10 +225,10 @@ PreemptibleRuntime::trySteal(int self)
         return v >= self ? v + 1 : v;
     };
 
-    std::array<TaskRecord *, kMaxStealBatch> spoils;
+    std::array<TaskRecord *, kStealBatch> spoils;
     TaskRecord *taken = nullptr;
     int rounds = 0;
-    while (!taken && rounds < options_.stealRounds) {
+    while (!taken && rounds < kStealRounds) {
         ++rounds;
 
         // Two-choice: probe two distinct victims, raid the longer one.
@@ -252,7 +256,7 @@ PreemptibleRuntime::trySteal(int self)
         StealResult last = StealResult::Empty;
         std::size_t got =
             workers_[static_cast<std::size_t>(victim)]->ready.stealBatch(
-                spoils.data(), options_.stealBatch, &last);
+                spoils.data(), kStealBatch, &last);
         if (last == StealResult::Abort) {
             bump(me.counters.stealAborts);
             addTo(m.registry, m.stealAbort, "runtime.steal.abort");
@@ -607,29 +611,17 @@ PreemptibleRuntime::sampleTelemetry(obs::MetricsRegistry &r)
         .set(lf != 0 && now > lf ? static_cast<std::int64_t>(now - lf)
                                  : -1);
 
-    // Cumulative counts as true counters: each pass adds the delta
-    // since the last one (single publisher thread; no races).
-    auto publish = [&r](const std::string &name, std::uint64_t total,
-                        std::uint64_t &prev) {
-        if (total > prev)
-            r.counter(name).add(total - prev);
-        prev = total;
-    };
-    publish(prefix + ".submitted", submitted_.load(),
-            publishedSubmitted_);
-    publish(prefix + ".completed", sumCounters(&WorkerCounters::completed),
-            publishedCompleted_);
-    publish(prefix + ".rejected_full", rejectedFull_.load(),
-            publishedRejectedFull_);
-    publish(prefix + ".rejected_policy", rejectedPolicy_.load(),
-            publishedRejectedPolicy_);
-    publish(prefix + ".preempted", sumCounters(&WorkerCounters::preemptions),
-            publishedPreemptions_);
-    publish(prefix + ".timer.fires", timer_.firesTotal(),
-            publishedTimerFires_);
-    publish(prefix + ".timer.wheel_fires", timer_.wheelFiresTotal(),
-            publishedWheelFires_);
-    publish(prefix + ".timer.scans", timer_.scans(), publishedScans_);
+    // Cumulative counts as true counters (single publisher thread).
+    totals_.push(r, prefix + ".submitted", submitted_.load());
+    totals_.push(r, prefix + ".completed",
+                 sumCounters(&WorkerCounters::completed));
+    totals_.push(r, prefix + ".rejected_full", rejectedFull_.load());
+    totals_.push(r, prefix + ".rejected_policy", rejectedPolicy_.load());
+    totals_.push(r, prefix + ".preempted",
+                 sumCounters(&WorkerCounters::preemptions));
+    totals_.push(r, prefix + ".timer.fires", timer_.firesTotal());
+    totals_.push(r, prefix + ".timer.wheel_fires", timer_.wheelFiresTotal());
+    totals_.push(r, prefix + ".timer.scans", timer_.scans());
 }
 
 } // namespace preempt::runtime

@@ -51,15 +51,10 @@
 #include "common/rng.hh"
 #include "common/spsc_ring.hh"
 #include "common/time.hh"
+#include "obs/metrics.hh"
 #include "preemptible/preemptible_fn.hh"
 #include "preemptible/steal_deque.hh"
 #include "preemptible/utimer.hh"
-
-namespace preempt::obs {
-class Counter;
-class MetricsRegistry;
-class TimerMetric;
-} // namespace preempt::obs
 
 namespace preempt::control {
 class AdmissionController;
@@ -134,19 +129,8 @@ class PreemptibleRuntime
          *  round-robin-only baseline measured by bench/micro_steal). */
         bool stealing = true;
 
-        /** Max tasks taken per steal round (oldest first). */
-        std::size_t stealBatch = 8;
-
-        /** Two-choice victim rounds before giving up and napping. */
-        int stealRounds = 2;
-
         /** Seed for the per-worker victim-selection streams. */
         std::uint64_t seed = 0x7265616c; // 'real'
-
-        /** Per-worker deadline wheel shard geometry. */
-        TimeNs wheelTick = usToNs(100);
-        std::size_t wheelSlots = 256;
-        int wheelLevels = 3;
 
         /**
          * Drop tasks whose deadline expired before completion: a
@@ -378,16 +362,8 @@ class PreemptibleRuntime
     /** Telemetry sampler registration (0 = none). */
     std::uint64_t samplerId_ = 0;
 
-    // Cumulative values already pushed into sampler counters, so each
-    // sampler pass adds only the delta (publisher thread only).
-    std::uint64_t publishedSubmitted_ = 0;
-    std::uint64_t publishedCompleted_ = 0;
-    std::uint64_t publishedRejectedFull_ = 0;
-    std::uint64_t publishedRejectedPolicy_ = 0;
-    std::uint64_t publishedPreemptions_ = 0;
-    std::uint64_t publishedTimerFires_ = 0;
-    std::uint64_t publishedWheelFires_ = 0;
-    std::uint64_t publishedScans_ = 0;
+    /** Cumulative totals mirrored into sampler counters. */
+    obs::TotalFeed totals_;
 
     std::vector<std::unique_ptr<WorkerState>> workers_;
 

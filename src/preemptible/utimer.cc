@@ -10,6 +10,16 @@
 
 namespace preempt::runtime {
 
+namespace {
+
+/** Deadlines this close are busy-waited for precision. */
+constexpr TimeNs kSpinThreshold = usToNs(100);
+
+/** Maximum registered threads. */
+constexpr std::size_t kMaxThreads = 512;
+
+} // namespace
+
 UTimer::~UTimer()
 {
     shutdown();
@@ -20,9 +30,7 @@ UTimer::init(Options options)
 {
     fatal_if(running_.load(), "utimer_init called twice");
     options_ = options;
-    fatal_if(options_.maxThreads <= 0, "utimer needs maxThreads > 0");
-    slots_ = std::vector<DeadlineSlot>(
-        static_cast<std::size_t>(options_.maxThreads));
+    slots_ = std::vector<DeadlineSlot>(kMaxThreads);
     usingUintr_ = probeUintr().usable();
     if (!usingUintr_) {
         inform("utimer: UINTR unavailable, using signal delivery "
@@ -54,8 +62,7 @@ UTimer::registerThread()
             return &slot;
         }
     }
-    fatal("utimer slot table exhausted (maxThreads=%d)",
-          options_.maxThreads);
+    fatal("utimer slot table exhausted (%zu threads)", kMaxThreads);
 }
 
 void
@@ -154,8 +161,8 @@ UTimer::timerLoop()
             continue;
         }
         TimeNs gap = soonest > now ? soonest - now : 0;
-        if (gap > options_.spinThreshold && options_.idleSleep) {
-            TimeNs nap = std::min(gap - options_.spinThreshold,
+        if (gap > kSpinThreshold && options_.idleSleep) {
+            TimeNs nap = std::min(gap - kSpinThreshold,
                                   options_.idleSleep);
             timespec ts{static_cast<time_t>(nap / 1000000000ULL),
                         static_cast<long>(nap % 1000000000ULL)};

@@ -192,12 +192,6 @@ class UTimer
          * small sleep keeps single-CPU hosts usable.
          */
         TimeNs idleSleep = usToNs(200);
-
-        /** Deadlines this close are busy-waited for precision. */
-        TimeNs spinThreshold = usToNs(100);
-
-        /** Maximum registered threads. */
-        int maxThreads = 512;
     };
 
     UTimer() = default;

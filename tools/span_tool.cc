@@ -31,6 +31,7 @@
 #include "common/time.hh"
 #include "obs/export.hh"
 #include "obs/spans.hh"
+#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 
 using namespace preempt;
@@ -126,25 +127,6 @@ parseTrace(const std::string &path)
     return records;
 }
 
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    os.precision(6);
-    os << std::fixed << v;
-    return os.str();
-}
-
-void
-histJson(std::ostringstream &os, const LatencyHistogram &h)
-{
-    os << "{\"count\": " << h.count() << ", \"min\": " << h.min()
-       << ", \"max\": " << h.max() << ", \"mean\": " << num(h.mean())
-       << ", \"p50\": " << h.p50() << ", \"p90\": " << h.p90()
-       << ", \"p99\": " << h.p99() << ", \"p999\": " << h.p999() << "}";
-}
-
 } // namespace
 
 int
@@ -187,28 +169,10 @@ main(int argc, char **argv)
     std::uint64_t violations = 0;
     std::map<std::uint32_t, obs::SpanCollector::TenantStats> tenants;
     std::map<std::uint32_t, obs::SpanCollector::TenantStats> windowed;
-    auto fold = [&](obs::SpanCollector::TenantStats &t,
-                    const obs::TaskSpan &s, bool countSlo) {
-        if (!s.completed) {
-            ++t.cancelled;
-            return;
-        }
-        ++t.completed;
-        t.queued.record(s.breakdown.queuedNs);
-        t.running.record(s.breakdown.runningNs);
-        t.preempted.record(s.breakdown.preemptedNs);
-        t.timerLag.record(s.breakdown.timerLagNs);
-        t.total.record(s.latencyNs());
-        if (sloNs != 0 && s.latencyNs() > sloNs) {
-            ++t.violations;
-            if (countSlo)
-                ++violations;
-        }
-    };
     for (const obs::TaskSpan &s : spans) {
-        fold(tenants[s.tenant], s, true);
+        violations += tenants[s.tenant].add(s, sloNs);
         if (s.endTs >= windowStart)
-            fold(windowed[s.tenant], s, false);
+            windowed[s.tenant].add(s, sloNs);
     }
     std::uint64_t invariantViolations = 0;
     for (const obs::TaskSpan &s : spans)
@@ -273,30 +237,10 @@ main(int argc, char **argv)
         os << "  \"tenants\": {";
         bool first = true;
         for (const auto &[tenant, t] : tenants) {
-            os << (first ? "\n" : ",\n") << "    \"" << tenant
-               << "\": {\"completed\": " << t.completed
-               << ", \"cancelled\": " << t.cancelled
-               << ", \"violations\": " << t.violations;
-            auto field = [&](const char *name,
-                             const LatencyHistogram &h) {
-                os << ", \"" << name << "\": ";
-                histJson(os, h);
-            };
-            field("queued", t.queued);
-            field("running", t.running);
-            field("preempted", t.preempted);
-            field("timer_lag", t.timerLag);
-            field("total", t.total);
-            const auto &w = windowed[tenant];
-            os << ", \"window\": {\"completed\": " << w.completed
-               << ", \"cancelled\": " << w.cancelled
-               << ", \"violations\": " << w.violations;
-            field("queued", w.queued);
-            field("running", w.running);
-            field("preempted", w.preempted);
-            field("timer_lag", w.timerLag);
-            field("total", w.total);
-            os << "}}";
+            os << (first ? "\n" : ",\n") << "    \"" << tenant << "\": ";
+            obs::writeTenantSpansJson(
+                os, obs::TelemetrySnapshot::TenantSpans::from(
+                        tenant, t, &windowed[tenant]));
             first = false;
         }
         os << (first ? "}\n" : "\n  }\n") << "}\n";
