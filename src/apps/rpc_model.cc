@@ -95,28 +95,28 @@ RpcServerSim::runNext(KThread &k, TimeNs now)
     TimeNs seg_start = now + overhead;
     k.segStart = seg_start;
 
-    int id = k.id;
-    if (!preemptive) {
-        k.event = sim_.at(seg_start + req.remaining, [this, id](TimeNs t) {
-            segmentEnd(kthreads_[static_cast<std::size_t>(id)], t, true);
-        });
-        return;
+    TimeNs done = seg_start + req.remaining;
+    runtime_sim::FirePlan plan;
+    plan.handlerEntry = kTimeNever; // no fire armed
+    if (preemptive) {
+        TimeNs tq = utimer_.effectiveQuantum(config_.quantum);
+        plan = utimer_.planFire(seg_start + tq);
+        // A function that finishes first re-arms the deadline, so the
+        // timer never sends.
+        if (done <= plan.handlerEntry)
+            utimer_.cancel(plan);
     }
-
-    TimeNs tq = utimer_.effectiveQuantum(config_.quantum);
-    runtime_sim::FirePlan plan = utimer_.planFire(seg_start + tq);
-    if (seg_start + req.remaining <= plan.handlerEntry) {
-        utimer_.cancel(plan);
-        k.event = sim_.at(seg_start + req.remaining, [this, id](TimeNs t) {
+    int id = k.id;
+    TimeNs ovh = plan.workerOverhead;
+    runtime_sim::raceSegment(
+        sim_, done, plan.handlerEntry,
+        [this, id](TimeNs t) {
             segmentEnd(kthreads_[static_cast<std::size_t>(id)], t, true);
-        });
-    } else {
-        TimeNs ovh = plan.workerOverhead;
-        k.event = sim_.at(plan.handlerEntry, [this, id, ovh](TimeNs t) {
+        },
+        [this, id, ovh](TimeNs t) {
             metrics_.addPreemptionOverhead(ovh);
             segmentEnd(kthreads_[static_cast<std::size_t>(id)], t, false);
         });
-    }
 }
 
 void
@@ -126,7 +126,6 @@ RpcServerSim::segmentEnd(KThread &k, TimeNs now, bool completed)
     panic_if(!req, "segment end without a request");
     k.running = false;
     k.current = nullptr;
-    k.event = sim::kInvalidEvent;
     TimeNs executed = now - k.segStart;
     metrics_.addExecution(std::min<TimeNs>(executed, req->remaining));
 

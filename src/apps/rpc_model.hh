@@ -62,8 +62,6 @@ class RpcServerSim : public runtime_sim::ServerModel
         workload::Request *current = nullptr;
         TimeNs segStart = 0;
         bool running = false; ///< a segment event is outstanding
-        /** The outstanding segment-end/preemption event. */
-        sim::EventId event = sim::kInvalidEvent;
     };
 
     /** Pull from backlog into the active set, start if idle. */

@@ -11,21 +11,16 @@ using workload::Request;
 
 LibingerSim::LibingerSim(sim::Simulator &sim, const hw::LatencyConfig &cfg,
                          LibingerConfig config)
-    : sim_(sim), cfg_(cfg), config_(std::move(config)),
-      machine_(sim, cfg, config_.nWorkers + 1), signals_(sim, cfg),
-      rng_(sim.rng().fork(0x6c696267)), lockFreeAt_(0), netFreeAt_(0),
-      admitted_(0), finished_(0)
+    : SegmentServer(sim, cfg, config.nWorkers, config.nWorkers + 1,
+                    std::move(config.completionHook)),
+      signals_(sim, cfg), rng_(sim.rng().fork(0x6c696267))
 {
-    fatal_if(config_.nWorkers <= 0, "need at least one worker");
-    machine_.setRole(0, hw::CoreRole::Dispatcher);
-    quantum_ = config_.quantum == 0
+    quantum_ = config.quantum == 0
                    ? 0
-                   : std::max(config_.quantum, cfg_.kernelTimerFloor);
-    workers_.resize(static_cast<std::size_t>(config_.nWorkers));
-    for (int i = 0; i < config_.nWorkers; ++i) {
-        workers_[static_cast<std::size_t>(i)].id = i;
-        machine_.setRole(i + 1, hw::CoreRole::Worker);
-    }
+                   : std::max(config.quantum, cfg_.kernelTimerFloor);
+    switchCost_ = cfg_.userCtxSwitch;
+    if (quantum_ != 0)
+        switchCost_ += cfg_.timerProgramCost + cfg_.syscallCost;
 }
 
 TimeNs
@@ -42,34 +37,12 @@ LibingerSim::onArrival(Request &req)
     metrics_.onArrival(req);
     ++admitted_;
     // Network thread enqueues into the shared run queue.
-    TimeNs start = std::max(sim_.now(), netFreeAt_);
-    netFreeAt_ = start + cfg_.dispatchCost;
-    machine_.addBusy(0, cfg_.dispatchCost);
-    TimeNs ready = lockedOp(netFreeAt_);
+    TimeNs ready = lockedOp(networkOp(cfg_.dispatchCost));
     sim_.at(ready, [this, &req](TimeNs t) {
         obs::emit(obs::EventKind::Dispatch, 0, t, req.id, queue_.size());
         queue_.pushBack(&req);
-        wakeWorker(t);
+        wakeIdle();
     });
-}
-
-void
-LibingerSim::wakeWorker(TimeNs now)
-{
-    (void)now;
-    for (auto &w : workers_) {
-        if (w.idle && !w.wakePending) {
-            w.wakePending = true;
-            int id = w.id;
-            sim_.after(cfg_.workerQueuePoll, [this, id](TimeNs t) {
-                Worker &ww = workers_[static_cast<std::size_t>(id)];
-                ww.wakePending = false;
-                if (ww.idle)
-                    pickNext(ww, t);
-            });
-            return;
-        }
-    }
 }
 
 void
@@ -91,109 +64,45 @@ LibingerSim::pickNext(Worker &w, TimeNs now)
 void
 LibingerSim::startSegment(Worker &w, Request &req, TimeNs now)
 {
-    w.current = &req;
-    if (req.firstStart == kTimeNever)
-        req.firstStart = now;
-    obs::emit(req.preemptions == 0 ? obs::EventKind::Launch
-                                   : obs::EventKind::Resume,
-              static_cast<std::uint32_t>(w.id + 1), now, req.id,
-              req.remaining, quantum_);
-
     // Arm the per-thread kernel timer (timer_settime) and switch into
     // the green thread.
-    TimeNs overhead = cfg_.userCtxSwitch;
-    if (quantum_ != 0)
-        overhead += cfg_.timerProgramCost + cfg_.syscallCost;
-    metrics_.addPreemptionOverhead(overhead);
-    machine_.addBusy(w.id + 1, overhead);
-    TimeNs seg_start = now + overhead;
-    w.segStart = seg_start;
-
-    int id = w.id;
+    TimeNs seg_start = beginSegment(w, req, now, switchCost_);
     if (quantum_ == 0) {
-        sim_.at(seg_start + req.remaining, [this, id](TimeNs t) {
-            onCompletion(workers_[static_cast<std::size_t>(id)], t);
-        });
+        scheduleSegmentEnd(w);
         return;
     }
 
     // Kernel timer expiry: granularity-clamped interval, expiry
-    // jitter, then the kernel signal path to the worker.
+    // jitter, then the kernel signal path to the worker. The
+    // preempted worker then saves the context and requeues it.
     TimeNs jitter = cfg_.kernelTimerJitter.sample(rng_);
     TimeNs signal_path = cfg_.signalDelivery.sample(rng_) +
                          cfg_.signalHandlerCost;
-    TimeNs handler_entry = seg_start + quantum_ + jitter + signal_path;
-
-    if (seg_start + req.remaining <= handler_entry) {
-        sim_.at(seg_start + req.remaining, [this, id](TimeNs t) {
-            onCompletion(workers_[static_cast<std::size_t>(id)], t);
-        });
-    } else {
-        sim_.at(handler_entry, [this, id](TimeNs t) {
-            onPreemption(workers_[static_cast<std::size_t>(id)], t);
-        });
-    }
+    scheduleSegmentEnd(w, seg_start + quantum_ + jitter + signal_path,
+                       cfg_.userCtxSwitch);
 }
 
 void
 LibingerSim::onCompletion(Worker &w, TimeNs now)
 {
-    Request *req = w.current;
-    panic_if(!req, "completion with no running request");
-    w.current = nullptr;
-
-    TimeNs executed = now - w.segStart;
-    metrics_.addExecution(executed);
-    machine_.addBusy(w.id + 1, executed);
-    req->remaining = 0;
-    req->completion = now;
-    ++finished_;
-    obs::emit(obs::EventKind::Complete,
-              static_cast<std::uint32_t>(w.id + 1), now, req->id,
-              req->latency(), req->preemptions);
-    metrics_.onCompletion(*req);
-    if (config_.completionHook)
-        config_.completionHook(now, *req);
-
+    completeSegment(w, now);
     // Disarm the timer and return to the scheduler loop.
-    TimeNs overhead = cfg_.userCtxSwitch;
-    if (quantum_ != 0)
-        overhead += cfg_.timerProgramCost + cfg_.syscallCost;
-    metrics_.addPreemptionOverhead(overhead);
-    machine_.addBusy(w.id + 1, overhead);
-    int id = w.id;
-    sim_.after(overhead, [this, id](TimeNs t) {
-        pickNext(workers_[static_cast<std::size_t>(id)], t);
-    });
+    reschedule(w, switchCost_);
 }
 
 void
-LibingerSim::onPreemption(Worker &w, TimeNs now)
+LibingerSim::onPreemption(Worker &w, TimeNs now, TimeNs overhead)
 {
-    Request *req = w.current;
-    panic_if(!req, "preemption with no running request");
-    w.current = nullptr;
-
-    TimeNs executed = now - w.segStart;
-    panic_if(executed >= req->remaining,
-             "preempted a request that should have completed");
-    req->remaining -= executed;
-    ++req->preemptions;
-    obs::emit(obs::EventKind::Preempt,
-              static_cast<std::uint32_t>(w.id + 1), now, req->id,
-              executed, req->remaining);
-    metrics_.addExecution(executed);
-
-    // Signal-handler cost was paid inside handler_entry; the context
-    // save + requeue happen under the shared lock.
-    TimeNs overhead = cfg_.userCtxSwitch;
-    metrics_.addPreemptionOverhead(overhead + cfg_.signalHandlerCost);
-    machine_.addBusy(w.id + 1, executed + overhead);
+    Request &req = preemptSegment(w, now);
+    // The signal handler ran inside handler_entry (charged as overhead,
+    // not as worker busy time); the context save + requeue happen
+    // under the shared lock.
+    chargeOverhead(w, overhead);
+    metrics_.addPreemptionOverhead(cfg_.signalHandlerCost);
     TimeNs ready = lockedOp(now + overhead);
-    sim_.at(ready, [this, req, &w](TimeNs t) {
-        queue_.pushBack(req);
-        int id = w.id;
-        pickNext(workers_[static_cast<std::size_t>(id)], t);
+    sim_.at(ready, [this, &req, &w](TimeNs t) {
+        queue_.pushBack(&req);
+        pickNext(w, t);
     });
 }
 

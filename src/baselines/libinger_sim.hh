@@ -16,11 +16,9 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "hw/kernel.hh"
 #include "hw/latency_config.hh"
-#include "hw/machine.hh"
 #include "runtime_sim/server.hh"
 #include "sim/simulator.hh"
 
@@ -40,7 +38,7 @@ struct LibingerConfig
 };
 
 /** The simulated Libinger server. */
-class LibingerSim : public runtime_sim::ServerModel
+class LibingerSim : public runtime_sim::SegmentServer<LibingerSim>
 {
   public:
     LibingerSim(sim::Simulator &sim, const hw::LatencyConfig &cfg,
@@ -49,45 +47,29 @@ class LibingerSim : public runtime_sim::ServerModel
     void onArrival(workload::Request &req) override;
     std::string name() const override { return "Libinger"; }
 
-    std::uint64_t inFlight() const { return admitted_ - finished_; }
-    std::size_t queueLen() const { return queue_.size(); }
+    /** Effective quantum after the kernel-timer floor. */
     TimeNs effectiveQuantum() const { return quantum_; }
-    int coresUsed() const { return config_.nWorkers + 1; }
 
   private:
-    struct Worker
-    {
-        int id = 0;
-        workload::Request *current = nullptr;
-        TimeNs segStart = 0;
-        bool idle = true;
-        bool wakePending = false;
-    };
+    friend SegmentServer;
 
     /** Acquire the shared run-queue lock (serialized resource).
      *  @return time the lock section completes. */
     TimeNs lockedOp(TimeNs from);
 
-    void wakeWorker(TimeNs now);
     void pickNext(Worker &w, TimeNs now);
     void startSegment(Worker &w, workload::Request &req, TimeNs now);
     void onCompletion(Worker &w, TimeNs now);
-    void onPreemption(Worker &w, TimeNs now);
+    void onPreemption(Worker &w, TimeNs now, TimeNs overhead);
 
-    sim::Simulator &sim_;
-    hw::LatencyConfig cfg_;
-    LibingerConfig config_;
-    hw::Machine machine_;
     hw::SignalPath signals_;
     Rng rng_;
 
-    std::vector<Worker> workers_;
     workload::RequestQueue queue_;
-    TimeNs quantum_;
-    TimeNs lockFreeAt_;
-    TimeNs netFreeAt_;
-    std::uint64_t admitted_;
-    std::uint64_t finished_;
+    TimeNs lockFreeAt_ = 0;
+    /** Worker cost of switching a green thread in or out: the context
+     *  switch, plus re-arming the kernel timer when preempting. */
+    TimeNs switchCost_ = 0;
 };
 
 } // namespace preempt::baselines

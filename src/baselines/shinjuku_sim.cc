@@ -11,36 +11,25 @@ using workload::Request;
 
 ShinjukuSim::ShinjukuSim(sim::Simulator &sim, const hw::LatencyConfig &cfg,
                          ShinjukuConfig config)
-    : sim_(sim), cfg_(cfg), config_(std::move(config)),
-      machine_(sim, cfg, config_.nWorkers + 1),
-      rng_(sim.rng().fork(0x73686a6b)), dispatcherFreeAt_(0),
-      assignPending_(false), admitted_(0), finished_(0)
+    : SegmentServer(sim, cfg, config.nWorkers, config.nWorkers + 1,
+                    std::move(config.completionHook)),
+      rng_(sim.rng().fork(0x73686a6b))
 {
-    fatal_if(config_.nWorkers <= 0, "need at least one worker");
-    fatal_if(config_.nWorkers > cfg_.apicMaxTargets,
+    fatal_if(config.nWorkers > cfg_.apicMaxTargets,
              "Shinjuku's APIC mapping supports at most %d targets",
              cfg_.apicMaxTargets);
-    machine_.setRole(0, hw::CoreRole::Dispatcher);
-    quantum_ = config_.quantum == 0
+    quantum_ = config.quantum == 0
                    ? 0
-                   : std::max(config_.quantum, cfg_.shinjukuMinQuantum);
-    workers_.resize(static_cast<std::size_t>(config_.nWorkers));
-    for (int i = 0; i < config_.nWorkers; ++i) {
-        workers_[static_cast<std::size_t>(i)].id = i;
-        machine_.setRole(i + 1, hw::CoreRole::Worker);
-    }
+                   : std::max(config.quantum, cfg_.shinjukuMinQuantum);
 }
 
 TimeNs
 ShinjukuSim::dispatcherOp()
 {
-    TimeNs start = std::max(sim_.now(), dispatcherFreeAt_);
-    dispatcherFreeAt_ = start + cfg_.shinjukuDispatchCost;
-    machine_.addBusy(0, cfg_.shinjukuDispatchCost);
     // Centralized scheduling is pure overhead relative to lean
     // execution (Fig. 1 right counts it against Shinjuku).
     metrics_.addPreemptionOverhead(cfg_.shinjukuDispatchCost);
-    return dispatcherFreeAt_;
+    return networkOp(cfg_.shinjukuDispatchCost);
 }
 
 void
@@ -56,20 +45,20 @@ ShinjukuSim::onArrival(Request &req)
     });
 }
 
+ShinjukuSim::Worker *
+ShinjukuSim::idleWorker()
+{
+    for (Worker &w : workers_)
+        if (w.idle)
+            return &w;
+    return nullptr;
+}
+
 void
 ShinjukuSim::tryAssign(TimeNs now)
 {
     (void)now; // decisions are timestamped by the dispatcher-op event
-    if (assignPending_)
-        return;
-    bool any_idle = false;
-    for (auto &w : workers_) {
-        if (w.idle) {
-            any_idle = true;
-            break;
-        }
-    }
-    if (!any_idle || queue_.empty())
+    if (assignPending_ || !idleWorker() || queue_.empty())
         return;
 
     // One assignment per dispatcher operation; chained until either
@@ -78,13 +67,7 @@ ShinjukuSim::tryAssign(TimeNs now)
     TimeNs ready = dispatcherOp();
     sim_.at(ready, [this](TimeNs t) {
         assignPending_ = false;
-        Worker *victim = nullptr;
-        for (auto &w : workers_) {
-            if (w.idle) {
-                victim = &w;
-                break;
-            }
-        }
+        Worker *victim = idleWorker();
         Request *req = victim ? queue_.popFront() : nullptr;
         if (victim && req) {
             victim->idle = false;
@@ -100,73 +83,32 @@ ShinjukuSim::tryAssign(TimeNs now)
 void
 ShinjukuSim::startSegment(Worker &w, Request &req, TimeNs now)
 {
-    w.current = &req;
-    if (req.firstStart == kTimeNever)
-        req.firstStart = now;
-    obs::emit(req.preemptions == 0 ? obs::EventKind::Launch
-                                   : obs::EventKind::Resume,
-              static_cast<std::uint32_t>(w.id + 1), now, req.id,
-              req.remaining, quantum_);
-
     // Worker-side context switch into the request.
-    TimeNs overhead = cfg_.userCtxSwitch;
-    metrics_.addPreemptionOverhead(overhead);
-    machine_.addBusy(w.id + 1, overhead);
-    TimeNs seg_start = now + overhead;
-    w.segStart = seg_start;
-
+    TimeNs seg_start = beginSegment(w, req, now, cfg_.userCtxSwitch);
     if (quantum_ == 0) {
-        TimeNs done_at = seg_start + req.remaining;
-        int id = w.id;
-        sim_.at(done_at, [this, id](TimeNs t) {
-            onCompletion(workers_[static_cast<std::size_t>(id)], t);
-        });
+        scheduleSegmentEnd(w);
         return;
     }
 
     // The dispatcher notices the expired quantum on its poll grid,
     // then initiates a posted IPI; the request keeps executing until
-    // the interrupt lands (the trap itself is pure overhead, charged
-    // in onPreemption).
+    // the interrupt lands. The worker-side preemption cost is the ring
+    // transition + interrupt frame + runtime trampoline, then the
+    // context save/switch; the worker makes no request progress
+    // during any of it.
     TimeNs expiry = seg_start + quantum_;
     TimeNs grid = cfg_.shinjukuPollNs;
     TimeNs noticed = grid ? ((expiry + grid - 1) / grid) * grid : expiry;
     TimeNs handler_entry = noticed + cfg_.postedIpiSend +
                            cfg_.postedIpiDelivery.sample(rng_);
-
-    int id = w.id;
-    if (seg_start + req.remaining <= handler_entry) {
-        TimeNs done_at = seg_start + req.remaining;
-        sim_.at(done_at, [this, id](TimeNs t) {
-            onCompletion(workers_[static_cast<std::size_t>(id)], t);
-        });
-    } else {
-        sim_.at(handler_entry, [this, id](TimeNs t) {
-            onPreemption(workers_[static_cast<std::size_t>(id)], t);
-        });
-    }
+    scheduleSegmentEnd(w, handler_entry,
+                       cfg_.shinjukuTrapCost + cfg_.userCtxSwitch);
 }
 
 void
 ShinjukuSim::onCompletion(Worker &w, TimeNs now)
 {
-    Request *req = w.current;
-    panic_if(!req, "completion with no running request");
-    w.current = nullptr;
-
-    TimeNs executed = now - w.segStart;
-    metrics_.addExecution(executed);
-    machine_.addBusy(w.id + 1, executed);
-    req->remaining = 0;
-    req->completion = now;
-    ++finished_;
-    obs::emit(obs::EventKind::Complete,
-              static_cast<std::uint32_t>(w.id + 1), now, req->id,
-              req->latency(), req->preemptions);
-    metrics_.onCompletion(*req);
-    if (config_.completionHook)
-        config_.completionHook(now, *req);
-
+    completeSegment(w, now);
     // The dispatcher notices the idle worker on its poll grid.
     TimeNs grid = cfg_.shinjukuPollNs;
     sim_.after(grid, [this, &w](TimeNs t) {
@@ -176,34 +118,16 @@ ShinjukuSim::onCompletion(Worker &w, TimeNs now)
 }
 
 void
-ShinjukuSim::onPreemption(Worker &w, TimeNs now)
+ShinjukuSim::onPreemption(Worker &w, TimeNs now, TimeNs overhead)
 {
-    Request *req = w.current;
-    panic_if(!req, "preemption with no running request");
-    w.current = nullptr;
-
-    TimeNs executed = now - w.segStart;
-    panic_if(executed >= req->remaining,
-             "preempted a request that should have completed");
-    req->remaining -= executed;
-    ++req->preemptions;
-    obs::emit(obs::EventKind::Preempt,
-              static_cast<std::uint32_t>(w.id + 1), now, req->id,
-              executed, req->remaining);
-    metrics_.addExecution(executed);
-
-    // Worker-side preemption cost: the ring transition + interrupt
-    // frame + runtime trampoline, then the context save/switch. The
-    // worker makes no request progress during any of it.
-    TimeNs overhead = cfg_.shinjukuTrapCost + cfg_.userCtxSwitch;
-    metrics_.addPreemptionOverhead(overhead);
-    machine_.addBusy(w.id + 1, executed + overhead);
+    Request &req = preemptSegment(w, now);
+    chargeOverhead(w, overhead);
 
     // Requeue at the tail via a dispatcher operation (centralized
     // preemptive FCFS).
     TimeNs ready = dispatcherOp();
-    sim_.at(std::max(ready, now + overhead), [this, req, &w](TimeNs t) {
-        queue_.pushBack(req);
+    sim_.at(std::max(ready, now + overhead), [this, &req, &w](TimeNs t) {
+        queue_.pushBack(&req);
         w.idle = true;
         tryAssign(t);
     });

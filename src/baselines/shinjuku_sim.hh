@@ -22,10 +22,8 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "hw/latency_config.hh"
-#include "hw/machine.hh"
 #include "runtime_sim/server.hh"
 #include "sim/simulator.hh"
 
@@ -46,7 +44,7 @@ struct ShinjukuConfig
 };
 
 /** The simulated Shinjuku server. */
-class ShinjukuSim : public runtime_sim::ServerModel
+class ShinjukuSim : public runtime_sim::SegmentServer<ShinjukuSim>
 {
   public:
     ShinjukuSim(sim::Simulator &sim, const hw::LatencyConfig &cfg,
@@ -55,32 +53,21 @@ class ShinjukuSim : public runtime_sim::ServerModel
     void onArrival(workload::Request &req) override;
     std::string name() const override { return "Shinjuku"; }
 
-    /** Requests admitted but not yet completed. */
-    std::uint64_t inFlight() const { return admitted_ - finished_; }
-
     /** Central queue length right now. */
     std::size_t queueLen() const { return queue_.size(); }
 
     /** Effective quantum after the practicality clamp. */
     TimeNs effectiveQuantum() const { return quantum_; }
 
-    int coresUsed() const { return config_.nWorkers + 1; }
-
-    /** Core accounting (the dispatcher is core 0). */
-    const hw::Machine &machine() const { return machine_; }
-
   private:
-    struct Worker
-    {
-        int id = 0;
-        workload::Request *current = nullptr;
-        TimeNs segStart = 0;
-        bool idle = true;
-    };
+    friend SegmentServer;
 
     /** Serialize an operation on the dispatcher core.
      *  @return the completion time of the operation. */
     TimeNs dispatcherOp();
+
+    /** The first idle worker, or nullptr. */
+    Worker *idleWorker();
 
     /** Assign queued requests to idle workers. */
     void tryAssign(TimeNs now);
@@ -89,21 +76,11 @@ class ShinjukuSim : public runtime_sim::ServerModel
     void startSegment(Worker &w, workload::Request &req, TimeNs now);
 
     void onCompletion(Worker &w, TimeNs now);
-    void onPreemption(Worker &w, TimeNs now);
+    void onPreemption(Worker &w, TimeNs now, TimeNs overhead);
 
-    sim::Simulator &sim_;
-    hw::LatencyConfig cfg_;
-    ShinjukuConfig config_;
-    hw::Machine machine_;
     Rng rng_;
-
-    std::vector<Worker> workers_;
     workload::RequestQueue queue_;
-    TimeNs quantum_;
-    TimeNs dispatcherFreeAt_;
-    bool assignPending_;
-    std::uint64_t admitted_;
-    std::uint64_t finished_;
+    bool assignPending_ = false;
 };
 
 } // namespace preempt::baselines

@@ -26,29 +26,18 @@ constexpr TimeNs kFireWatchdogGraceNs = 25000;
 LibPreemptibleSim::LibPreemptibleSim(sim::Simulator &sim,
                                      const hw::LatencyConfig &cfg,
                                      LibPreemptibleConfig config)
-    : sim_(sim), cfg_(cfg), config_(std::move(config)),
-      machine_(sim, cfg, config_.nWorkers + 2),
-      utimer_(sim, cfg, config_.delivery),
+    : SegmentServer(sim, cfg, config.nWorkers, config.nWorkers + 2,
+                    std::move(config.completionHook)),
+      config_(std::move(config)), utimer_(sim, cfg, config_.delivery),
       controller_(config_.controllerParams,
                   config_.quantum ? config_.quantum
                                   : config_.controllerParams.tMax),
-      statsWindow_(config_.statsHorizon), freeContexts_(0),
-      dispatcherFreeAt_(0), admitted_(0), finished_(0), rrCursor_(0)
+      statsWindow_(config_.statsHorizon)
 {
-    fatal_if(config_.nWorkers <= 0, "need at least one worker");
-    machine_.setRole(0, hw::CoreRole::Dispatcher);
     machine_.setRole(config_.nWorkers + 1, hw::CoreRole::Timer);
     utimer_.setTraceCore(static_cast<unsigned>(config_.nWorkers + 1));
 
     quantum_ = config_.adaptive ? controller_.quantum() : config_.quantum;
-
-    for (int i = 0; i < config_.nWorkers; ++i) {
-        workers_.emplace_back();
-        Worker &w = workers_.back();
-        w.id = i;
-        w.utimerSlot = utimer_.registerThread();
-        machine_.setRole(i + 1, hw::CoreRole::Worker);
-    }
 
     if (config_.adaptive) {
         cancelController_ = sim_.every(
@@ -112,10 +101,7 @@ LibPreemptibleSim::onArrival(Request &req)
                   static_cast<std::uint64_t>(req.cls), config_.tenant);
     // The dispatcher is a single network thread: arrivals serialize
     // behind its per-request handling cost.
-    TimeNs start = std::max(now, dispatcherFreeAt_);
-    dispatcherFreeAt_ = start + cfg_.dispatchCost;
-    machine_.addBusy(0, cfg_.dispatchCost);
-    sim_.at(dispatcherFreeAt_,
+    sim_.at(networkOp(cfg_.dispatchCost),
             [this, &req](TimeNs t) { enqueue(req, t); });
 }
 
@@ -128,22 +114,9 @@ LibPreemptibleSim::enqueue(Request &req, TimeNs now)
                   admitted_ - finished_);
     if (config_.centralQueue) {
         central_.pushBack(&req);
-        for (auto &w : workers_) {
-            if (w.idle && !w.wakePending) {
-                w.wakePending = true;
-                int id = w.id;
-                sim_.after(cfg_.workerQueuePoll, [this, id](TimeNs t) {
-                    Worker &ww = workers_[static_cast<std::size_t>(id)];
-                    ww.wakePending = false;
-                    if (ww.idle)
-                        pickNext(ww, t);
-                });
-                break;
-            }
-        }
+        wakeIdle();
         return;
     }
-    (void)now;
     // Join-shortest-queue across local worker queues.
     Worker *best = nullptr;
     std::size_t best_len = std::numeric_limits<std::size_t>::max();
@@ -159,17 +132,7 @@ LibPreemptibleSim::enqueue(Request &req, TimeNs now)
     rrCursor_ = (rrCursor_ + 1) % static_cast<int>(workers_.size());
     panic_if(!best, "no workers configured");
     best->local.pushBack(&req);
-
-    if (best->idle && !best->wakePending) {
-        best->wakePending = true;
-        int id = best->id;
-        sim_.after(cfg_.workerQueuePoll, [this, id](TimeNs t) {
-            Worker &w = workers_[static_cast<std::size_t>(id)];
-            w.wakePending = false;
-            if (w.idle)
-                pickNext(w, t);
-        });
-    }
+    pollWake(*best);
 }
 
 void
@@ -177,39 +140,32 @@ LibPreemptibleSim::pickNext(Worker &w, TimeNs now)
 {
     panic_if(w.current != nullptr, "worker picking while running");
     // Two-level policy: fresh local work first, then preempted
-    // functions from the global running list.
+    // functions from the global running list. Local, central and
+    // stolen requests have never run; the global list holds only
+    // preempted ones.
     Request *req = nullptr;
-    bool fresh = true;
     if (config_.centralQueue) {
         // Central single queue: popping serialises on its lock.
         req = central_.popFront();
         if (req) {
             TimeNs start = std::max(now, centralLockFreeAt_);
             centralLockFreeAt_ = start + cfg_.centralQueueLockHold;
-            TimeNs wait = centralLockFreeAt_ - now;
-            metrics_.addPreemptionOverhead(wait);
-            machine_.addBusy(w.id + 1, wait);
+            chargeOverhead(w, centralLockFreeAt_ - now);
             now = centralLockFreeAt_;
         }
     } else if (config_.policy == SchedPolicy::RoundRobin) {
         // Centralized-FCFS order: oldest runnable first across the
-        // local queue and the global preempted list.
+        // local queue and the global preempted list (popped below).
         Request *local_head = w.local.front();
         Request *global_head = globalRunning_.front();
         if (local_head &&
-            (!global_head || local_head->readyAt <= global_head->readyAt)) {
+            (!global_head || local_head->readyAt <= global_head->readyAt))
             req = w.local.popFront();
-        } else if (global_head) {
-            req = globalRunning_.popFront();
-            fresh = false;
-        }
     } else {
         req = w.local.popFront();
     }
-    if (!req) {
+    if (!req)
         req = globalRunning_.popFront();
-        fresh = false;
-    }
     if (!req && config_.workStealing) {
         // Steal the head of the longest peer queue (pays the peer-
         // queue synchronisation cost).
@@ -222,14 +178,12 @@ LibPreemptibleSim::pickNext(Worker &w, TimeNs now)
         }
         if (victim) {
             req = victim->local.popFront();
-            fresh = true;
             obs::emit(obs::EventKind::Steal,
                       static_cast<std::uint32_t>(w.id + 1), now, req->id,
                       static_cast<std::uint64_t>(victim->id));
             obs::addCount("libpreemptible.steals");
             TimeNs cost = cfg_.libingerLockHold;
-            metrics_.addPreemptionOverhead(cost);
-            machine_.addBusy(w.id + 1, cost);
+            chargeOverhead(w, cost);
             now += cost;
         }
     }
@@ -256,14 +210,10 @@ LibPreemptibleSim::pickNext(Worker &w, TimeNs now)
                 ++tickFinished_;
                 ++tickViolations_;
             }
-            req = nullptr;
-            fresh = true;
-            if (config_.centralQueue) {
+            if (config_.centralQueue)
                 req = central_.popFront();
-            } else if ((req = w.local.popFront()) == nullptr) {
+            else if ((req = w.local.popFront()) == nullptr)
                 req = globalRunning_.popFront();
-                fresh = false;
-            }
         }
         if (!req) {
             w.idle = true;
@@ -271,109 +221,70 @@ LibPreemptibleSim::pickNext(Worker &w, TimeNs now)
         }
     }
     w.idle = false;
-    startSegment(w, *req, now, fresh);
+    startSegment(w, *req, now);
 }
 
 void
-LibPreemptibleSim::startSegment(Worker &w, Request &req, TimeNs now,
-                                bool fresh)
+LibPreemptibleSim::startSegment(Worker &w, Request &req, TimeNs now)
 {
-    w.current = &req;
     ++w.segGen;
-    if (req.firstStart == kTimeNever) {
-        req.firstStart = now;
-        if (admission_)
-            tickQueued_.record(now >= req.arrival ? now - req.arrival
-                                                  : 0);
-    }
-    if (fresh)
-        ++w.launches;
-    else
-        ++w.resumes;
-    obs::emitSpan(fresh ? obs::EventKind::Launch : obs::EventKind::Resume,
-                  static_cast<std::uint32_t>(w.id + 1), now, req.id,
-                  req.remaining, quantum_);
+    if (admission_ && req.firstStart == kTimeNever)
+        tickQueued_.record(now >= req.arrival ? now - req.arrival : 0);
 
     // fn_launch allocates a context from the free list; fn_resume just
     // switches to the saved one. Both pay the user context switch and
     // the deadline store.
     TimeNs overhead = cfg_.userCtxSwitch + utimer_.armCost();
-    if (fresh) {
+    if (req.preemptions == 0) {
         overhead += cfg_.fnLaunchCost;
         if (freeContexts_ > 0)
             --freeContexts_; // reuse a pooled context
     }
-    metrics_.addPreemptionOverhead(overhead);
-    machine_.addBusy(w.id + 1, overhead);
+    TimeNs seg_start = beginSegment(w, req, now, overhead);
 
-    TimeNs seg_start = now + overhead;
-    w.segStart = seg_start;
-
-    TimeNs tq = quantum_;
-    bool preemptible = tq != 0;
-    if (preemptible)
-        tq = utimer_.effectiveQuantum(tq);
-
-    if (!preemptible) {
+    if (quantum_ == 0) {
         // Run to completion (the "0 us quantum" configuration).
-        TimeNs done_at = seg_start + req.remaining;
-        int id = w.id;
-        w.event = sim_.at(done_at, [this, id](TimeNs t) {
-            onCompletion(workers_[static_cast<std::size_t>(id)], t);
-        });
+        scheduleSegmentEnd(w);
         return;
     }
 
-    FirePlan plan = utimer_.planFire(seg_start + tq);
-    if (seg_start + req.remaining <= plan.handlerEntry) {
+    FirePlan plan = utimer_.planFire(seg_start +
+                                     utimer_.effectiveQuantum(quantum_));
+    w.fireNoticed = plan.noticed;
+    if (plan.dropped && seg_start + req.remaining > plan.handlerEntry) {
+        // The fire was lost in transit: no preemption event will ever
+        // end this segment. The watchdog recovers it.
+        armFireWatchdog(w, plan);
+    } else if (scheduleSegmentEnd(w, plan.handlerEntry,
+                                  plan.workerOverhead)) {
         // The function finishes before the interrupt would land; the
         // completion path re-arms the deadline so the timer never
         // sends.
         utimer_.cancel(plan);
-        TimeNs done_at = seg_start + req.remaining;
+    } else if (plan.duplicated) {
+        // A duplicated fire lands after the segment ended (the
+        // primary fire preempts it): always a counted no-op.
         int id = w.id;
-        w.event = sim_.at(done_at, [this, id](TimeNs t) {
-            onCompletion(workers_[static_cast<std::size_t>(id)], t);
+        std::uint64_t gen = w.segGen;
+        sim_.at(plan.handlerEntry + plan.duplicateDelay,
+                [this, id, gen](TimeNs t) {
+            Worker &ww = worker(id);
+            panic_if(ww.segGen == gen && ww.current != nullptr,
+                     "duplicated fire outlived its own preemption");
+            utimer_.noteRedundantFire(t);
         });
-    } else if (plan.dropped) {
-        // The fire was lost in transit: no preemption event will ever
-        // end this segment. The watchdog recovers it.
-        w.fireNoticed = plan.noticed;
-        armFireWatchdog(w, plan, w.segGen);
-    } else {
-        int id = w.id;
-        TimeNs worker_ovh = plan.workerOverhead;
-        w.fireNoticed = plan.noticed;
-        w.event = sim_.at(plan.handlerEntry,
-                          [this, id, worker_ovh](TimeNs t) {
-            onPreemption(workers_[static_cast<std::size_t>(id)], t,
-                         worker_ovh);
-        });
-        if (plan.duplicated) {
-            // A duplicated fire lands after the segment ended (the
-            // primary fire preempts it): always a counted no-op.
-            std::uint64_t gen = w.segGen;
-            sim_.at(plan.handlerEntry + plan.duplicateDelay,
-                    [this, id, gen](TimeNs t) {
-                Worker &ww = workers_[static_cast<std::size_t>(id)];
-                (void)gen;
-                panic_if(ww.segGen == gen && ww.current != nullptr,
-                         "duplicated fire outlived its own preemption");
-                utimer_.noteRedundantFire(t);
-            });
-        }
     }
 }
 
 void
-LibPreemptibleSim::armFireWatchdog(Worker &w, const FirePlan &plan,
-                                   std::uint64_t gen)
+LibPreemptibleSim::armFireWatchdog(Worker &w, const FirePlan &plan)
 {
     int id = w.id;
+    std::uint64_t gen = w.segGen;
     TimeNs worker_ovh = plan.workerOverhead;
-    w.event = sim_.at(plan.handlerEntry + kFireWatchdogGraceNs,
-                      [this, id, gen, worker_ovh](TimeNs t) {
-        Worker &ww = workers_[static_cast<std::size_t>(id)];
+    sim_.at(plan.handlerEntry + kFireWatchdogGraceNs,
+            [this, id, gen, worker_ovh](TimeNs t) {
+        Worker &ww = worker(id);
         if (ww.segGen != gen || ww.current == nullptr)
             return; // the segment ended some other way
         ++watchdogRecoveries_;
@@ -395,56 +306,27 @@ LibPreemptibleSim::armFireWatchdog(Worker &w, const FirePlan &plan,
 void
 LibPreemptibleSim::onCompletion(Worker &w, TimeNs now)
 {
-    Request *req = w.current;
-    panic_if(!req, "completion with no running request");
-    w.current = nullptr;
-    w.event = sim::kInvalidEvent;
-
-    TimeNs executed = now - w.segStart;
-    metrics_.addExecution(executed);
-    machine_.addBusy(w.id + 1, executed);
-    req->remaining = 0;
-    req->completion = now;
-    ++finished_;
+    Request &req = completeSegment(w, now);
     ++freeContexts_; // context returns to the global free list
-
-    obs::emitSpan(obs::EventKind::Complete,
-                  static_cast<std::uint32_t>(w.id + 1), now, req->id,
-                  req->latency(),
-                  static_cast<std::uint64_t>(req->preemptions));
     obs::recordTimerPerCore("libpreemptible.latency_ns",
                             static_cast<unsigned>(w.id + 1),
-                            req->latency());
-    metrics_.onCompletion(*req);
-    statsWindow_.onCompletion(now, req->latency(), req->service);
+                            req.latency());
+    statsWindow_.onCompletion(now, req.latency(), req.service);
     if (admission_) {
         ++tickFinished_;
         if (config_.admission.sloNs != 0 &&
-            req->latency() > config_.admission.sloNs)
+            req.latency() > config_.admission.sloNs)
             ++tickViolations_;
     }
-    if (config_.completionHook)
-        config_.completionHook(now, *req);
 
     // Return to the scheduler loop and pick the next function.
-    TimeNs overhead = cfg_.userCtxSwitch;
-    metrics_.addPreemptionOverhead(overhead);
-    machine_.addBusy(w.id + 1, overhead);
-    int id = w.id;
-    sim_.after(overhead, [this, id](TimeNs t) {
-        pickNext(workers_[static_cast<std::size_t>(id)], t);
-    });
+    reschedule(w, cfg_.userCtxSwitch);
 }
 
 void
 LibPreemptibleSim::onPreemption(Worker &w, TimeNs now,
                                 TimeNs worker_overhead)
 {
-    Request *req = w.current;
-    panic_if(!req, "preemption with no running request");
-    w.current = nullptr;
-    w.event = sim::kInvalidEvent;
-
     // Fault injection: a slow handler burns extra worker time before
     // control returns to the scheduler.
     worker_overhead += fault::onHandler(
@@ -453,7 +335,7 @@ LibPreemptibleSim::onPreemption(Worker &w, TimeNs now,
     // The quantum expired: the timer core's deadline scan fired and
     // the worker's handler just gained control.
     obs::emit(obs::EventKind::TimerFire, utimer_.traceCore(), now,
-              req->id, worker_overhead);
+              w.current->id, worker_overhead);
     obs::addCount("utimer.fires");
     if (config_.delivery == TimerDelivery::Uintr) {
         // The fire plan models SENDUIPI at the notice time and handler
@@ -469,41 +351,15 @@ LibPreemptibleSim::onPreemption(Worker &w, TimeNs now,
                          now - std::min(w.fireNoticed, now));
     }
 
-    TimeNs executed = now - w.segStart;
-    panic_if(executed >= req->remaining,
-             "preempted a request that should have completed");
-    req->remaining -= executed;
-    ++req->preemptions;
-    obs::emitSpan(obs::EventKind::Preempt,
-                  static_cast<std::uint32_t>(w.id + 1), now, req->id,
-                  executed, req->remaining);
+    Request &req = preemptSegment(w, now);
     obs::addCount("libpreemptible.preemptions");
-    metrics_.addExecution(executed);
-    metrics_.addPreemptionOverhead(worker_overhead);
-    machine_.addBusy(w.id + 1, executed + worker_overhead);
 
     // The preempted context parks on the global running list; idle
     // peers poll the list, so wake one if any.
-    req->readyAt = now;
-    globalRunning_.pushBack(req);
-    for (auto &peer : workers_) {
-        if (peer.idle && !peer.wakePending && peer.id != w.id) {
-            peer.wakePending = true;
-            int pid = peer.id;
-            sim_.after(cfg_.workerQueuePoll, [this, pid](TimeNs t) {
-                Worker &pw = workers_[static_cast<std::size_t>(pid)];
-                pw.wakePending = false;
-                if (pw.idle)
-                    pickNext(pw, t);
-            });
-            break;
-        }
-    }
-
-    int id = w.id;
-    sim_.after(worker_overhead, [this, id](TimeNs t) {
-        pickNext(workers_[static_cast<std::size_t>(id)], t);
-    });
+    req.readyAt = now;
+    globalRunning_.pushBack(&req);
+    wakeIdle(w.id);
+    reschedule(w, worker_overhead);
 }
 
 std::size_t

@@ -19,7 +19,6 @@
 #ifndef PREEMPT_RUNTIME_SIM_LIBPREEMPTIBLE_SIM_HH
 #define PREEMPT_RUNTIME_SIM_LIBPREEMPTIBLE_SIM_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,7 +26,6 @@
 #include "common/stats.hh"
 #include "control/admission.hh"
 #include "hw/latency_config.hh"
-#include "hw/machine.hh"
 #include "core/quantum_controller.hh"
 #include "runtime_sim/server.hh"
 #include "runtime_sim/utimer_model.hh"
@@ -139,8 +137,23 @@ struct LibPreemptibleConfig
     std::function<void(TimeNs, TimeNs)> quantumHook;
 };
 
+/** A LibPreemptible worker: the shared segment state plus its local
+ *  queue and the fire bookkeeping of its running segment. */
+struct LibPreemptibleWorker : SegmentWorker
+{
+    workload::RequestQueue local;
+    /** When the timer core noticed the running segment's expired
+     *  deadline (FirePlan::noticed); traces the SENDUIPI time. */
+    TimeNs fireNoticed = 0;
+    /** Bumped on every startSegment; guards the fire watchdog and
+     *  duplicated-fire events against acting on a later segment. */
+    std::uint64_t segGen = 0;
+};
+
 /** The simulated LibPreemptible server. */
-class LibPreemptibleSim : public ServerModel
+class LibPreemptibleSim
+    : public SegmentServer<LibPreemptibleSim, LibPreemptibleWorker,
+                           /*Spans=*/true>
 {
   public:
     LibPreemptibleSim(sim::Simulator &sim, const hw::LatencyConfig &cfg,
@@ -160,9 +173,6 @@ class LibPreemptibleSim : public ServerModel
     /** The timer-core model (for fire/overhead accounting). */
     const UTimerModel &utimer() const { return utimer_; }
 
-    /** Requests admitted but not yet completed. */
-    std::uint64_t inFlight() const { return admitted_ - finished_; }
-
     /** Length of the global preempted-context list. */
     std::size_t globalRunningLen() const { return globalRunning_.size(); }
 
@@ -171,9 +181,6 @@ class LibPreemptibleSim : public ServerModel
 
     /** Largest local queue length right now. */
     std::size_t maxLocalQueueLen() const;
-
-    /** Total cores used (workers + dispatcher + timer). */
-    int coresUsed() const { return config_.nWorkers + 2; }
 
     /** Segments rescued by the fire watchdog after a dropped fire. */
     std::uint64_t watchdogRecoveries() const
@@ -188,31 +195,7 @@ class LibPreemptibleSim : public ServerModel
     }
 
   private:
-    struct Worker
-    {
-        int id = 0;
-        int utimerSlot = -1;
-        workload::RequestQueue local;
-        workload::Request *current = nullptr;
-        TimeNs segStart = 0;
-        /** Outstanding completion/preemption event for the running
-         *  segment. Generation-tagged, so holding it past the fire is
-         *  safe: a stale cancel would be a no-op. */
-        sim::EventId event = sim::kInvalidEvent;
-        /** When the timer core noticed the running segment's expired
-         *  deadline (FirePlan::noticed); traces the SENDUIPI time. */
-        TimeNs fireNoticed = 0;
-        bool idle = true;
-        bool wakePending = false;
-        std::uint64_t launches = 0;
-        std::uint64_t resumes = 0;
-        /** Bumped on every startSegment; guards the fire watchdog and
-         *  duplicated-fire events against acting on a later segment. */
-        std::uint64_t segGen = 0;
-    };
-
-    /** Dispatcher admission (runs on the network core). */
-    void dispatch(workload::Request &req, TimeNs now);
+    friend SegmentServer;
 
     /** Enqueue to the shortest local queue; wake the worker if idle. */
     void enqueue(workload::Request &req, TimeNs now);
@@ -221,8 +204,7 @@ class LibPreemptibleSim : public ServerModel
     void pickNext(Worker &w, TimeNs now);
 
     /** Run one segment of a request (fn_launch / fn_resume). */
-    void startSegment(Worker &w, workload::Request &req, TimeNs now,
-                      bool fresh);
+    void startSegment(Worker &w, workload::Request &req, TimeNs now);
 
     /** Segment ended by completion. */
     void onCompletion(Worker &w, TimeNs now);
@@ -238,8 +220,7 @@ class LibPreemptibleSim : public ServerModel
      * its end in the meantime, as a preemption otherwise. Armed only
      * for dropped plans, so the zero-fault schedule is untouched.
      */
-    void armFireWatchdog(Worker &w, const FirePlan &plan,
-                         std::uint64_t gen);
+    void armFireWatchdog(Worker &w, const FirePlan &plan);
 
     /** One Algorithm 1 control step. */
     void controllerStep(TimeNs now);
@@ -248,26 +229,18 @@ class LibPreemptibleSim : public ServerModel
      *  signals from sim state, step the policy, reset accumulators. */
     void admissionTick(TimeNs now);
 
-    sim::Simulator &sim_;
-    hw::LatencyConfig cfg_;
     LibPreemptibleConfig config_;
-    hw::Machine machine_;
     UTimerModel utimer_;
     QuantumController controller_;
     RequestStatsWindow statsWindow_;
     std::function<void()> cancelController_;
 
-    std::deque<Worker> workers_;
     workload::RequestQueue globalRunning_;
     workload::RequestQueue central_;
     TimeNs centralLockFreeAt_ = 0;
-    std::size_t freeContexts_;
-    TimeNs quantum_;
-    TimeNs dispatcherFreeAt_;
-    std::uint64_t admitted_;
-    std::uint64_t finished_;
+    std::size_t freeContexts_ = 0;
     std::uint64_t watchdogRecoveries_ = 0;
-    int rrCursor_;
+    int rrCursor_ = 0;
 
     // Admission control (config_.admission.enabled): controller plus
     // per-tick signal accumulators, reset on every admission tick.

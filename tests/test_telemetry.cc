@@ -331,9 +331,10 @@ TEST(StatTracker, ManyMetricsSurviveChurn)
         for (int i = 0; i < kStable; ++i) {
             obs::StatTracker::CounterStats s = tr.counter(
                 "stable." + std::to_string(i), tick * 100);
-            if (tick > 1)
+            if (tick > 1) {
                 EXPECT_DOUBLE_EQ(s.ratePerSec, 100.0)
                     << "stable." << i << " at tick " << tick;
+            }
         }
         for (int i = 0; i < kChurn; ++i) {
             // Only half the churn set exists on any given tick.
