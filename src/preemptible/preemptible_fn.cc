@@ -14,6 +14,7 @@
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "preemptible/hosttime.hh"
+#include "preemptible/task_ledger.hh"
 
 // TSan cannot follow fcontext stack switches on its own: without help
 // its shadow stack corrupts, stack-local accesses are misattributed
@@ -287,6 +288,37 @@ installHandler(int signo)
              handler_signo);
 }
 
+// Stacks go through the calling worker's magazine when it has one, so
+// a runtime worker takes the pool's mutex only per batch; bare
+// fn_launch users (and any non-worker thread) use the pool directly.
+Stack
+acquireStack()
+{
+    const std::uint64_t t0 = ledgerStamp();
+    StackCache *cache = tl_worker_active ? tl_worker.stacks : nullptr;
+    Stack s = cache ? cache->acquire() : fnStackPool().acquire();
+    if constexpr (kTaskLedger) {
+        if (tl_worker_active)
+            tl_worker.stackCycles += ledgerStamp() - t0;
+    }
+    return s;
+}
+
+void
+releaseStack(Stack s)
+{
+    const std::uint64_t t0 = ledgerStamp();
+    StackCache *cache = tl_worker_active ? tl_worker.stacks : nullptr;
+    if (cache)
+        cache->release(s);
+    else
+        fnStackPool().release(s);
+    if constexpr (kTaskLedger) {
+        if (tl_worker_active)
+            tl_worker.stackCycles += ledgerStamp() - t0;
+    }
+}
+
 } // namespace
 
 namespace detail {
@@ -345,7 +377,7 @@ PreemptibleFn::~PreemptibleFn()
              "destroying a running preemptible function");
     tsanFreeFiber(tsanFiber_);
     if (stack_.valid())
-        fnStackPool().release(stack_);
+        releaseStack(stack_);
 }
 
 void
@@ -397,6 +429,7 @@ workerShutdown()
         tl_worker.slot = nullptr;
         tl_worker.timer = nullptr;
     }
+    tl_worker.stacks = nullptr;
     tl_worker_active = false;
 }
 
@@ -420,7 +453,7 @@ runFn(PreemptibleFn &fn, TimeNs timeout, bool fresh)
         fatal_if(fn.state() != FnState::Fresh,
                  "fn_launch requires a Fresh function (use fn_resume)");
         if (!fn.stack_.valid())
-            fn.stack_ = fnStackPool().acquire();
+            fn.stack_ = acquireStack();
         fn.ctx_ = preempt_make_fcontext(fn.stack_.top(),
                                             fn.stack_.usable(),
                                             &fnEntry);
@@ -465,8 +498,8 @@ runFn(PreemptibleFn &fn, TimeNs timeout, bool fresh)
         fn.state_ = FnState::Completed;
         fn.ctx_ = nullptr;
         tsanFreeFiber(fn.tsanFiber_);
-        // Recycle the stack through the global pool immediately.
-        fnStackPool().release(fn.stack_);
+        // Recycle the stack immediately.
+        releaseStack(fn.stack_);
         fn.stack_ = Stack{};
         ++w.completions;
         tsanUnblockPreemptSignal();
@@ -514,7 +547,7 @@ fn_cancel(PreemptibleFn &fn)
     // The context's stack frames are abandoned, not unwound.
     fn.ctx_ = nullptr;
     tsanFreeFiber(fn.tsanFiber_);
-    fnStackPool().release(fn.stack_);
+    releaseStack(fn.stack_);
     fn.stack_ = Stack{};
     fn.state_ = FnState::Cancelled;
 }

@@ -144,6 +144,16 @@ class WorkerContext
     /** This worker's LibUtimer deadline slot. */
     DeadlineSlot *slot = nullptr;
 
+    /** Stack magazine in front of fnStackPool() that fn_launch,
+     *  completion, fn_cancel and ~PreemptibleFn use on this thread
+     *  (null = the pool itself). Set by the owner of the magazine,
+     *  which must reset it before the magazine goes away. */
+    StackCache *stacks = nullptr;
+
+    /** TSC cycles spent taking and returning stacks on this thread
+     *  (task_ledger.hh; stays 0 unless the ledger is compiled in). */
+    std::uint64_t stackCycles = 0;
+
     /** Timer the slot was registered with. */
     UTimer *timer = nullptr;
 

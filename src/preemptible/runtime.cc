@@ -1,5 +1,6 @@
 #include "preemptible/runtime.hh"
 
+#include <algorithm>
 #include <array>
 #include <ctime>
 #include <string>
@@ -102,6 +103,16 @@ PreemptibleRuntime::PreemptibleRuntime(Options options)
 PreemptibleRuntime::~PreemptibleRuntime()
 {
     shutdown();
+    // Every task retired before the workers exited, so every record
+    // is back in its home worker's lists.
+    for (auto &w : workers_) {
+        for (TaskRecord *lists : {w->freeRecords, w->returned.load()}) {
+            while (TaskRecord *r = lists) {
+                lists = r->nextFree;
+                delete r;
+            }
+        }
+    }
 }
 
 bool
@@ -116,10 +127,13 @@ bool
 PreemptibleRuntime::submitTo(int worker, std::function<void()> body,
                              int cls, TimeNs deadlineIn)
 {
+    const std::uint64_t t0 = ledgerStamp();
     fatal_if(!body, "submitting an empty task");
     fatal_if(stopping_.load(), "submit after shutdown");
     fatal_if(worker < 0 || worker >= options_.nWorkers,
              "submitTo target out of range");
+    const std::uint64_t id =
+        g_nextTaskId.fetch_add(1, std::memory_order_relaxed);
     if (options_.admission &&
         !options_.admission->decide(options_.tenant, cls)) {
         // Policy rejection: first-class and before any task state
@@ -127,64 +141,119 @@ PreemptibleRuntime::submitTo(int worker, std::function<void()> body,
         // only ever sees admitted work.
         rejectedPolicy_.fetch_add(1, std::memory_order_relaxed);
         obs::emit(obs::EventKind::TaskReject,
-                  static_cast<std::uint32_t>(worker), hostNowNs(),
-                  g_nextTaskId.fetch_add(1, std::memory_order_relaxed),
+                  static_cast<std::uint32_t>(worker), hostNowNs(), id,
                   static_cast<std::uint64_t>(cls), options_.tenant);
         return false;
     }
     WorkerState &w = *workers_[static_cast<std::size_t>(worker)];
-    auto task = std::make_unique<TaskRecord>();
-    task->body = std::move(body);
+    const TimeNs now = hostNowNs();
+    const std::uint64_t t1 = ledgerStamp();
+
+    // SpscRing is single-producer; serialise submitters per worker.
+    // Under the mutex the producer side is exact: space seen here is
+    // still there at the push, since the worker only frees slots.
+    std::lock_guard<std::mutex> lock(w.submitMutex);
+    if (w.inbox.size() >= w.inbox.capacity()) {
+        // Full-inbox backpressure, refused before any task state
+        // exists, and observable, never silent: a first-class reject
+        // record plus a counter callers can poll.
+        rejectedFull_.fetch_add(1, std::memory_order_relaxed);
+        countRejectedFull(w);
+        obs::emit(obs::EventKind::TaskReject,
+                  static_cast<std::uint32_t>(worker), now, id,
+                  static_cast<std::uint64_t>(cls), options_.tenant);
+        return false;
+    }
+    TaskRecord *task = takeRecord(w, worker);
+    task->fn.emplace(std::move(body));
     task->cls = cls;
-    task->submitNs = hostNowNs();
-    task->id = g_nextTaskId.fetch_add(1, std::memory_order_relaxed);
+    task->id = id;
+    task->submitNs = now;
     task->owner = static_cast<std::uint32_t>(worker);
-    // Span anchor: end-to-end latency is measured from this record,
-    // so span total == the sojourn payload on Complete, exactly.
-    obs::emitSpan(obs::EventKind::TaskSubmit,
-                  static_cast<std::uint32_t>(worker), task->submitNs,
-                  task->id, static_cast<std::uint64_t>(cls),
-                  options_.tenant);
+    task->deadlineAt = 0;
+    task->deadlineExpired.store(false, std::memory_order_relaxed);
     if (deadlineIn != 0) {
         // Arm before publishing: once the task is in the inbox another
         // worker may complete it (and cancel the deadline) right away.
-        task->deadlineAt = task->submitNs + deadlineIn;
+        task->deadlineAt = now + deadlineIn;
         task->deadlineId = w.shard->schedule(
-            task->deadlineAt,
-            reinterpret_cast<std::uint64_t>(task.get()));
+            task->deadlineAt, reinterpret_cast<std::uint64_t>(task));
+    }
+    const std::uint64_t t2 = ledgerStamp();
+    // Span anchor: end-to-end latency is measured from this record,
+    // so span total == the sojourn payload on Complete, exactly.
+    obs::emitSpan(obs::EventKind::TaskSubmit,
+                  static_cast<std::uint32_t>(worker), now, id,
+                  static_cast<std::uint64_t>(cls), options_.tenant);
+    if (deadlineIn != 0) {
         obs::emit(obs::EventKind::TimerArm,
-                  static_cast<std::uint32_t>(worker), task->submitNs,
-                  task->id, task->deadlineAt);
+                  static_cast<std::uint32_t>(worker), now, id,
+                  task->deadlineAt);
     }
-    obs::emit(obs::EventKind::Dispatch,
-              static_cast<std::uint32_t>(worker), task->submitNs,
-              task->id, static_cast<std::uint64_t>(cls));
-    bool pushed;
-    {
-        // SpscRing is single-producer; serialise submitters per worker.
-        std::lock_guard<std::mutex> lock(w.submitMutex);
-        pushed = w.inbox.push(task.get());
-    }
-    if (!pushed) {
-        cancelDeadline(task.get()); // backpressure: revoke and reject
-        // Close the span opened by TaskSubmit above.
-        obs::emitSpan(obs::EventKind::CancelRequest,
-                      static_cast<std::uint32_t>(worker), hostNowNs(),
-                      task->id);
-        // Full-inbox backpressure is observable, never silent: a
-        // first-class reject record plus a counter callers can poll.
-        rejectedFull_.fetch_add(1, std::memory_order_relaxed);
-        obs::addCount("runtime.submit.rejected_full");
-        obs::emit(obs::EventKind::TaskReject,
-                  static_cast<std::uint32_t>(worker), hostNowNs(),
-                  task->id, static_cast<std::uint64_t>(cls),
-                  options_.tenant);
-        return false;
-    }
-    task.release(); // ownership passed to the worker
+    obs::emit(obs::EventKind::Dispatch, static_cast<std::uint32_t>(worker),
+              now, id, static_cast<std::uint64_t>(cls));
+    const std::uint64_t t3 = ledgerStamp();
+    bool pushed = w.inbox.push(task);
+    panic_if(!pushed, "inbox full after its space was checked");
     inFlight_.fetch_add(1, std::memory_order_relaxed);
     submitted_.fetch_add(1, std::memory_order_relaxed);
+    if constexpr (kTaskLedger) {
+        w.submitLedger.add(Layer::Admit, t1 - t0);
+        w.submitLedger.add(Layer::Record, t2 - t1);
+        w.submitLedger.add(Layer::Emit, t3 - t2);
+        w.submitLedger.add(Layer::Inbox, ledgerStamp() - t3);
+    }
     return true;
+}
+
+TaskRecord *
+PreemptibleRuntime::takeRecord(WorkerState &w, int worker)
+{
+    if (!w.freeRecords)
+        w.freeRecords = w.returned.exchange(nullptr, std::memory_order_acquire);
+    TaskRecord *task = w.freeRecords;
+    if (task) {
+        w.freeRecords = task->nextFree;
+        return task;
+    }
+    // Warm-up or a deeper backlog than ever before: the pools grow
+    // lazily and keep every record until the runtime is destroyed.
+    task = new TaskRecord;
+    task->home = static_cast<std::uint32_t>(worker);
+    ++w.recordsCreated;
+    return task;
+}
+
+void
+PreemptibleRuntime::retire(TaskRecord *task)
+{
+    // The wheel's fire callback writes through the raw record pointer;
+    // only a deadline revoked under the shard mutex (or one that
+    // already fired) guarantees it never will again.
+    panic_if(task->deadlineId != 0,
+             "recycling a task record whose deadline is still armed");
+    // The task's captured state dies with the task, not when the
+    // record is next used.
+    task->fn.reset();
+    std::atomic<TaskRecord *> &list = workers_[task->home]->returned;
+    TaskRecord *head = list.load(std::memory_order_relaxed);
+    do {
+        task->nextFree = head;
+    } while (!list.compare_exchange_weak(head, task,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed));
+    inFlight_.fetch_sub(1, std::memory_order_release);
+}
+
+void
+PreemptibleRuntime::countRejectedFull(WorkerState &w)
+{
+    SubmitHandles &h = w.submitMetrics;
+    std::uint64_t gen = obs::metricsGeneration();
+    obs::MetricsRegistry *registry = obs::metricsRegistry();
+    if (gen != h.generation || registry != h.registry)
+        h = SubmitHandles{gen, registry, nullptr};
+    addTo(h.registry, h.rejectedFull, "runtime.submit.rejected_full");
 }
 
 std::size_t
@@ -202,7 +271,7 @@ PreemptibleRuntime::drainInbox(int index, WorkerState &w)
         if (!w.ready.push(batch[i - 1])) {
             // Deque full (stolen backlog): run it right now rather
             // than lose it.
-            runTask(index, std::unique_ptr<TaskRecord>(batch[i - 1]));
+            runTask(index, batch[i - 1]);
         }
     }
     return moved;
@@ -274,7 +343,7 @@ PreemptibleRuntime::trySteal(int self)
         // LIFO pops still see them oldest-first.
         for (std::size_t i = got; i > 1; --i) {
             if (!me.ready.push(spoils[i - 1]))
-                runTask(self, std::unique_ptr<TaskRecord>(spoils[i - 1]));
+                runTask(self, spoils[i - 1]);
         }
         taken = spoils[0];
     }
@@ -338,9 +407,9 @@ PreemptibleRuntime::deadlineHopeless(const TaskRecord *task) const
 }
 
 void
-PreemptibleRuntime::dropTask(int worker, std::unique_ptr<TaskRecord> task)
+PreemptibleRuntime::dropTask(int worker, TaskRecord *task)
 {
-    cancelDeadline(task.get());
+    cancelDeadline(task);
     bump(workers_[static_cast<std::size_t>(worker)]->counters.expiredDrops);
     MetricHandles &m = metrics(worker);
     addTo(m.registry, m.expiredDrops, "runtime.expired_drops");
@@ -348,7 +417,7 @@ PreemptibleRuntime::dropTask(int worker, std::unique_ptr<TaskRecord> task)
     obs::emitSpan(obs::EventKind::CancelRequest,
                   static_cast<std::uint32_t>(worker), now, task->id,
                   now - task->submitNs);
-    inFlight_.fetch_sub(1, std::memory_order_release);
+    retire(task);
 }
 
 PreemptibleRuntime::MetricHandles &
@@ -372,35 +441,42 @@ PreemptibleRuntime::workerMain(int index)
 {
     WorkerContext &ctx = workerInit(timer_);
     WorkerState &w = *workers_[static_cast<std::size_t>(index)];
+    // This worker's stack magazine: launches and completions take the
+    // process-wide pool's mutex only per batch. Flushed back to the
+    // pool when the worker exits.
+    StackCache stacks(fnStackPool());
+    ctx.stacks = &stacks;
 
     for (;;) {
+        if constexpr (kTaskLedger)
+            w.passStart = ledgerStamp();
         // Policy #1: new tasks take priority over preempted ones.
-        TaskRecord *raw = nullptr;
-        if (w.ready.pop(raw)) {
-            runTask(index, std::unique_ptr<TaskRecord>(raw));
+        TaskRecord *task = nullptr;
+        if (w.ready.pop(task)) {
+            runTask(index, task);
             continue;
         }
         if (drainInbox(index, w) > 0)
             continue;
-        std::unique_ptr<TaskRecord> parked;
+        TaskRecord *parked = nullptr;
         if (longLen_.load(std::memory_order_acquire) != 0) {
             std::lock_guard<std::mutex> lock(longMutex_);
             if (!longQueue_.empty()) {
-                parked = std::move(longQueue_.front());
+                parked = longQueue_.front();
                 longQueue_.pop_front();
                 longLen_.store(longQueue_.size(),
                                std::memory_order_release);
             }
         }
         if (parked) {
-            migrateTask(parked.get(), index);
-            runTask(index, std::move(parked));
+            migrateTask(parked, index);
+            runTask(index, parked);
             continue;
         }
         // Steal before napping: placement skew must not idle us while
         // a peer drowns.
         if (TaskRecord *stolen = trySteal(index)) {
-            runTask(index, std::unique_ptr<TaskRecord>(stolen));
+            runTask(index, stolen);
             continue;
         }
         if (stopping_.load(std::memory_order_acquire) &&
@@ -415,22 +491,29 @@ PreemptibleRuntime::workerMain(int index)
 
     w.counters.staleSignals.store(ctx.staleSignals,
                                   std::memory_order_relaxed);
+    ctx.stacks = nullptr;
     workerShutdown();
 }
 
 void
-PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
+PreemptibleRuntime::runTask(int worker, TaskRecord *task)
 {
     FnStatus status;
     TimeNs slice = quantum_.load(std::memory_order_relaxed);
     std::uint32_t track = static_cast<std::uint32_t>(worker);
     WorkerState &w = *workers_[static_cast<std::size_t>(worker)];
-    bool fresh = !task->fn;
-    if (options_.dropExpired && fresh && deadlineHopeless(task.get())) {
+    const std::uint64_t t0 = ledgerStamp();
+    w.ledger.add(Layer::Drain, t0 - w.passStart);
+    bool fresh = task->fn->state() == FnState::Fresh;
+    if (options_.dropExpired && fresh && deadlineHopeless(task)) {
         // SLO already hopeless: never launch (section III-B).
-        dropTask(worker, std::move(task));
+        dropTask(worker, task);
+        w.ledger.add(Layer::Retire, ledgerStamp() - t0);
         return;
     }
+    std::uint64_t stack0 = 0;
+    if constexpr (kTaskLedger)
+        stack0 = currentWorker()->stackCycles;
     // a1 = the armed quantum: span builders attribute segment time
     // past it to timer-fire lag rather than running time.
     obs::emitSpan(fresh ? obs::EventKind::Launch
@@ -438,19 +521,21 @@ PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
                   track, hostNowNs(), task->id, 0, slice);
     w.currentTask.store(static_cast<std::int64_t>(task->id),
                         std::memory_order_relaxed);
-    if (fresh) {
-        task->fn = std::make_unique<PreemptibleFn>(std::move(task->body));
-        status = fn_launch(*task->fn, slice);
-    } else {
-        status = fn_resume(*task->fn, slice);
-    }
+    status = fresh ? fn_launch(*task->fn, slice)
+                   : fn_resume(*task->fn, slice);
     w.currentTask.store(-1, std::memory_order_relaxed);
+    const std::uint64_t t1 = ledgerStamp();
+    if constexpr (kTaskLedger) {
+        std::uint64_t stack = currentWorker()->stackCycles - stack0;
+        w.ledger.add(Layer::Stack, stack);
+        w.ledger.add(Layer::Switch, t1 - t0 - stack);
+    }
 
     if (status == FnStatus::Completed) {
-        cancelDeadline(task.get());
-        task->finishNs = hostNowNs();
-        TimeNs sojourn = task->finishNs - task->submitNs;
-        obs::emitSpan(obs::EventKind::Complete, track, task->finishNs,
+        cancelDeadline(task);
+        TimeNs finishNs = hostNowNs();
+        TimeNs sojourn = finishNs - task->submitNs;
+        obs::emitSpan(obs::EventKind::Complete, track, finishNs,
                       task->id, sojourn,
                       static_cast<std::uint64_t>(task->cls));
         MetricHandles &m = metrics(worker);
@@ -465,7 +550,10 @@ PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
             (task->cls == 0 ? w.latency.lc : w.latency.be).record(sojourn);
         }
         bump(w.counters.completed);
-        inFlight_.fetch_sub(1, std::memory_order_release);
+        const std::uint64_t t2 = ledgerStamp();
+        w.ledger.add(Layer::Complete, t2 - t1);
+        retire(task);
+        w.ledger.add(Layer::Retire, ledgerStamp() - t2);
         return;
     }
 
@@ -477,16 +565,22 @@ PreemptibleRuntime::runTask(int worker, std::unique_ptr<TaskRecord> task)
                   slice);
     MetricHandles &m = metrics(worker);
     addTo(m.registry, m.preemptions, "runtime.preemptions");
-    if (options_.dropExpired && deadlineHopeless(task.get())) {
+    if (options_.dropExpired && deadlineHopeless(task)) {
         // Expired mid-run: release the stack instead of finishing.
         fn_cancel(*task->fn);
-        dropTask(worker, std::move(task));
+        const std::uint64_t t2 = ledgerStamp();
+        w.ledger.add(Layer::Complete, t2 - t1);
+        dropTask(worker, task);
+        w.ledger.add(Layer::Retire, ledgerStamp() - t2);
         return;
     }
     // Park on the shared long queue.
-    std::lock_guard<std::mutex> lock(longMutex_);
-    longQueue_.push_back(std::move(task));
-    longLen_.store(longQueue_.size(), std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(longMutex_);
+        longQueue_.push_back(task);
+        longLen_.store(longQueue_.size(), std::memory_order_release);
+    }
+    w.ledger.add(Layer::Complete, ledgerStamp() - t1);
 }
 
 void
@@ -527,6 +621,46 @@ PreemptibleRuntime::sumCounters(
     for (const auto &w : workers_)
         sum += (w->counters.*field).load(std::memory_order_relaxed);
     return sum;
+}
+
+PreemptibleRuntime::RecordCounts
+PreemptibleRuntime::recordCounts() const
+{
+    RecordCounts c;
+    std::vector<const TaskRecord *> seen;
+    for (const auto &w : workers_) {
+        // Holding submitMutex stops the only thread that takes from
+        // either list; retiring workers only prepend to `returned`, so
+        // the walk below sees a stable suffix of it.
+        std::lock_guard<std::mutex> lock(w->submitMutex);
+        c.created += w->recordsCreated;
+        // A record pushed twice would close a cycle: stop one past
+        // the most records these lists can hold.
+        std::uint64_t budget = w->recordsCreated + 1;
+        for (const TaskRecord *lists :
+             {w->freeRecords, w->returned.load(std::memory_order_acquire)}) {
+            for (const TaskRecord *r = lists; r && budget; r = r->nextFree) {
+                seen.push_back(r);
+                --budget;
+            }
+        }
+    }
+    c.pooled = seen.size();
+    std::sort(seen.begin(), seen.end());
+    c.distinct = static_cast<std::uint64_t>(
+        std::unique(seen.begin(), seen.end()) - seen.begin());
+    return c;
+}
+
+TaskLedger
+PreemptibleRuntime::ledger() const
+{
+    TaskLedger l;
+    for (const auto &w : workers_) {
+        w->submitLedger.sumInto(l);
+        w->ledger.sumInto(l);
+    }
+    return l;
 }
 
 RuntimeStats

@@ -26,6 +26,12 @@
  * (the in-flight count among them). stats() and the telemetry sampler
  * sum the blocks on read.
  *
+ * The warm task path allocates nothing and takes no process-wide lock:
+ * task records (with their PreemptibleFn embedded) are recycled
+ * through per-worker free lists, and each worker keeps a magazine of
+ * stacks in front of the process-wide stack pool (DESIGN.md section
+ * 11.5).
+ *
  * Per-task deadlines: each worker owns a WheelShard (a TimingWheel
  * advanced by the LibUtimer thread). A task submitted with a deadline
  * arms it in the target worker's shard; when the task changes workers
@@ -44,6 +50,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -54,6 +61,7 @@
 #include "obs/metrics.hh"
 #include "preemptible/preemptible_fn.hh"
 #include "preemptible/steal_deque.hh"
+#include "preemptible/task_ledger.hh"
 #include "preemptible/utimer.hh"
 
 namespace preempt::control {
@@ -62,15 +70,18 @@ class AdmissionController;
 
 namespace preempt::runtime {
 
-/** A unit of work submitted to the runtime. */
+/**
+ * A unit of work submitted to the runtime. Records are recycled: each
+ * belongs to the worker whose inbox it was first submitted to (its
+ * home), and whichever worker retires it returns it to that worker's
+ * free lists (DESIGN.md section 11.4).
+ */
 struct TaskRecord
 {
-    std::function<void()> body;
+    std::optional<PreemptibleFn> fn; ///< the task, bound at submit
     int cls = 0;              ///< 0 = latency-critical, 1 = best-effort
     std::uint64_t id = 0;     ///< submission order, for tracing
     TimeNs submitNs = 0;
-    TimeNs finishNs = 0;
-    std::unique_ptr<PreemptibleFn> fn; ///< bound when first launched
 
     // Pending SLO deadline, owned by shard `owner` while armed. Only
     // the thread currently holding the task writes owner/deadlineId;
@@ -79,6 +90,9 @@ struct TaskRecord
     std::uint64_t deadlineId = 0; ///< wheel timer id (0 = disarmed)
     std::uint32_t owner = 0;  ///< worker whose shard holds the deadline
     std::atomic<bool> deadlineExpired{false};
+
+    std::uint32_t home = 0;   ///< worker whose free lists it returns to
+    TaskRecord *nextFree = nullptr; ///< free-list link while pooled
 };
 
 /** Aggregated runtime statistics. */
@@ -210,6 +224,24 @@ class PreemptibleRuntime
     /** The underlying timer (for fire statistics). */
     const UTimer &timer() const { return timer_; }
 
+    /** Task records this runtime created, and the ones in its free
+     *  lists (counted once each, and again without duplicates). */
+    struct RecordCounts
+    {
+        std::uint64_t created = 0;
+        std::uint64_t pooled = 0;
+        std::uint64_t distinct = 0;
+    };
+
+    /** Count the task-record pools. Once quiesce() returned and no
+     *  submit is running, pooled == distinct == created. */
+    RecordCounts recordCounts() const;
+
+    /** Task-path cycles per layer, summed over the submitting side
+     *  and every worker (all zero unless built with
+     *  PREEMPT_TASK_LEDGER; see task_ledger.hh). */
+    TaskLedger ledger() const;
+
     /** A worker's deadline wheel shard (for depth inspection). */
     const WheelShard &wheelShard(int worker) const
     {
@@ -264,6 +296,17 @@ class PreemptibleRuntime
         obs::Counter *expiredDrops = nullptr;
     };
 
+    /** The submit side's handle for runtime.submit.rejected_full,
+     *  guarded by the worker's submitMutex. Submitters may run on
+     *  threads with different registries, so it is re-resolved when
+     *  either the generation or the caller's registry changed. */
+    struct SubmitHandles
+    {
+        std::uint64_t generation = 0; ///< 0 = never resolved
+        obs::MetricsRegistry *registry = nullptr;
+        obs::Counter *rejectedFull = nullptr;
+    };
+
     /** Per-worker scheduling state. */
     struct alignas(kCacheLine) WorkerState
     {
@@ -276,7 +319,18 @@ class PreemptibleRuntime
 
         /** Submitters push here (multi-producer via submitMutex). */
         SpscRing<TaskRecord *> inbox;
+
+        // Guarded by submitMutex: the submit side of this worker.
         std::mutex submitMutex;
+        TaskRecord *freeRecords = nullptr; ///< records ready to take
+        std::uint64_t recordsCreated = 0;  ///< records homed here
+        SubmitHandles submitMetrics;
+        LedgerBlock submitLedger;
+
+        /** Records homed here that a worker retired: pushed with a
+         *  CAS by any worker, taken whole by the submitter under
+         *  submitMutex (push plus take-all, so no ABA). */
+        alignas(kCacheLine) std::atomic<TaskRecord *> returned{nullptr};
 
         /** Owner pops LIFO; idle peers steal FIFO batches. Inbox
          *  arrivals are staged so the owner still serves them FCFS. */
@@ -290,6 +344,8 @@ class PreemptibleRuntime
         MetricHandles metrics;
         WorkerCounters counters;
         WorkerLatency latency;
+        LedgerBlock ledger;
+        std::uint64_t passStart = 0; ///< ledger: this pass's first stamp
 
         // Live scheduler state published by the telemetry sampler:
         // written by the owning worker, read from the publisher thread.
@@ -302,7 +358,19 @@ class PreemptibleRuntime
     void workerMain(int index);
 
     /** Run one task until completion, preempting per quantum. */
-    void runTask(int worker, std::unique_ptr<TaskRecord> task);
+    void runTask(int worker, TaskRecord *task);
+
+    /** Take a record homed at `worker` (caller holds its
+     *  submitMutex): recycled if one is free, else new. */
+    TaskRecord *takeRecord(WorkerState &w, int worker);
+
+    /** Destroy a finished or dropped task's function and captured
+     *  state, return its record to its home worker and retire it from
+     *  inFlight_. The deadline must already be revoked. */
+    void retire(TaskRecord *task);
+
+    /** Bump runtime.submit.rejected_full (caller holds w.submitMutex). */
+    void countRejectedFull(WorkerState &w);
 
     /** Move up to a batch of the oldest inbox arrivals onto the
      *  (empty) ready deque, staged so the owner's pops serve them
@@ -322,7 +390,7 @@ class PreemptibleRuntime
 
     /** Drop an expired task (dropExpired policy). */
     bool deadlineHopeless(const TaskRecord *task) const;
-    void dropTask(int worker, std::unique_ptr<TaskRecord> task);
+    void dropTask(int worker, TaskRecord *task);
 
     /** Worker `index`'s registry handles, dropped first if the
      *  installed registry changed (worker thread only). */
@@ -371,7 +439,7 @@ class PreemptibleRuntime
      *  an idle pass takes longMutex_ only when there is work. */
     alignas(kCacheLine) std::atomic<std::size_t> longLen_{0};
     mutable std::mutex longMutex_;
-    std::deque<std::unique_ptr<TaskRecord>> longQueue_;
+    std::deque<TaskRecord *> longQueue_;
 };
 
 } // namespace preempt::runtime

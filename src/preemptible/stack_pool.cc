@@ -3,6 +3,8 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace preempt::runtime {
@@ -93,10 +95,64 @@ StackPool::release(Stack stack)
 }
 
 std::size_t
+StackPool::acquireBatch(Stack *out, std::size_t n)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t got = 0;
+    for (; got < n && !free_.empty(); ++got) {
+        out[got] = free_.back();
+        free_.pop_back();
+    }
+    return got;
+}
+
+void
+StackPool::releaseBatch(const Stack *stacks, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        panic_if(!stacks[i].valid(), "releasing an invalid stack");
+    std::lock_guard<std::mutex> lock(mutex_);
+    free_.insert(free_.end(), stacks, stacks + n);
+}
+
+std::size_t
 StackPool::freeCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return free_.size();
+}
+
+Stack
+StackCache::acquire()
+{
+    if (count_ == 0) {
+        count_ = pool_.acquireBatch(stacks_.data(), kBatch);
+        if (count_ == 0)
+            return pool_.acquire(); // pool empty too: map a fresh one
+    }
+    return stacks_[--count_];
+}
+
+void
+StackCache::release(Stack stack)
+{
+    panic_if(!stack.valid(), "releasing an invalid stack");
+    if (count_ == stacks_.size()) {
+        // Spill the older half; the newest stacks stay warm here.
+        pool_.releaseBatch(stacks_.data(), kBatch);
+        std::copy(stacks_.begin() + kBatch, stacks_.end(), stacks_.begin());
+        count_ -= kBatch;
+    }
+    stacks_[count_++] = stack;
+}
+
+void
+StackCache::flush()
+{
+    if (count_ == 0)
+        return;
+    pool_.releaseBatch(stacks_.data(), count_);
+    count_ = 0;
 }
 
 } // namespace preempt::runtime

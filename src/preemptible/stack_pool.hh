@@ -11,6 +11,7 @@
 #ifndef PREEMPT_PREEMPTIBLE_STACK_POOL_HH
 #define PREEMPT_PREEMPTIBLE_STACK_POOL_HH
 
+#include <array>
 #include <cstddef>
 #include <mutex>
 #include <vector>
@@ -57,6 +58,13 @@ class StackPool
     /** Return a stack to the pool. */
     void release(Stack stack);
 
+    /** Move up to `n` cached stacks into `out` under one lock, mapping
+     *  none. @return stacks moved. */
+    std::size_t acquireBatch(Stack *out, std::size_t n);
+
+    /** Return `n` stacks to the pool under one lock. */
+    void releaseBatch(const Stack *stacks, std::size_t n);
+
     /** Stacks currently cached in the free list. */
     std::size_t freeCount() const;
 
@@ -74,6 +82,43 @@ class StackPool
     mutable std::mutex mutex_;
     std::vector<Stack> free_;
     std::size_t allocated_;
+};
+
+/**
+ * A magazine of stacks in front of a StackPool, for one thread. Acquire
+ * and release work on a small private array and take the pool's mutex
+ * only to refill an empty magazine or to spill a full one, a batch at
+ * a time, so a worker that releases each stack before acquiring the
+ * next never touches the shared pool. Not thread-safe.
+ */
+class StackCache
+{
+  public:
+    explicit StackCache(StackPool &pool) : pool_(pool) {}
+    ~StackCache() { flush(); }
+
+    StackCache(const StackCache &) = delete;
+    StackCache &operator=(const StackCache &) = delete;
+
+    /** Get a stack: cached, else a batch from the pool, else mapped. */
+    Stack acquire();
+
+    /** Cache a stack, spilling a batch to the pool when full. */
+    void release(Stack stack);
+
+    /** Return every cached stack to the pool. */
+    void flush();
+
+    /** Stacks currently cached. */
+    std::size_t size() const { return count_; }
+
+    /** Stacks moved per refill or spill. */
+    static constexpr std::size_t kBatch = 8;
+
+  private:
+    StackPool &pool_;
+    std::array<Stack, 2 * kBatch> stacks_;
+    std::size_t count_ = 0;
 };
 
 } // namespace preempt::runtime

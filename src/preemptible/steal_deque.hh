@@ -88,7 +88,8 @@ class StealDeque
         return true;
     }
 
-    /** Owner only: take the newest element (LIFO). */
+    /** Owner only: take the newest element (LIFO). `out` is written
+     *  only when this returns true. */
     bool
     pop(T &out)
     {
@@ -103,7 +104,7 @@ class StealDeque
             bottom_.store(b + 1, std::memory_order_relaxed);
             return false;
         }
-        out = buf_[static_cast<std::size_t>(b) & mask_].load(
+        T value = buf_[static_cast<std::size_t>(b) & mask_].load(
             std::memory_order_relaxed);
         if (t == b) {
             // Last element: race the thieves for it via top.
@@ -116,6 +117,7 @@ class StealDeque
             }
             bottom_.store(b + 1, std::memory_order_relaxed);
         }
+        out = value;
         return true;
     }
 

@@ -177,4 +177,35 @@ TEST(StealDequeStress, OwnerAndThievesConserveElements)
     EXPECT_TRUE(dq.empty());
 }
 
+/**
+ * A pop that loses the last element to a thief leaves its output
+ * untouched: a caller that reuses the variable for other work would
+ * otherwise hold an element the thief now owns, and run it twice.
+ */
+TEST(StealDequeStress, LostPopLeavesOutputUntouched)
+{
+    constexpr std::uint64_t kRounds = 100000;
+    constexpr std::uint64_t kUnset = ~std::uint64_t{0};
+    StealDeque<std::uint64_t> dq(4);
+    std::atomic<bool> done{false};
+    std::thread thief([&] {
+        std::uint64_t v = 0;
+        while (!done.load(std::memory_order_acquire))
+            dq.steal(v);
+    });
+    std::uint64_t lost = 0;
+    for (std::uint64_t i = 0; i < kRounds; ++i) {
+        ASSERT_TRUE(dq.push(i));
+        std::uint64_t v = kUnset;
+        if (!dq.pop(v)) {
+            ++lost;
+            ASSERT_EQ(v, kUnset) << "a failed pop wrote its output";
+        }
+    }
+    done.store(true, std::memory_order_release);
+    thief.join();
+    // Only the races the thief happened to win exercise the path.
+    RecordProperty("lost_pops", static_cast<int>(lost));
+}
+
 } // namespace
